@@ -136,8 +136,8 @@ def _format_finding(fmt: object, location: str) -> Finding:
             f"stale plan format {fmt!r}: plans serialized before the "
             f"fan-out-aware pricing fix carry double-priced conversion "
             f"totals; re-plan, or load through "
-            f"repro.cost.serialize.upgrade_plan_document to re-attribute "
-            f"them (current format: {PLAN_FORMAT!r})",
+            f"repro.cost.serialize.plan_from_dict or Session.plan_from_file to "
+            f"re-attribute them (current format: {PLAN_FORMAT!r})",
         )
     return Finding(
         "RV100",

@@ -11,7 +11,7 @@ every baseline strategy, so the whole evaluation compares like with like.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.layouts.layout import Layout
 from repro.layouts.transforms import TransformChain
@@ -164,6 +164,33 @@ class NetworkPlan:
     def conversions(self) -> List[EdgeDecision]:
         """The edges on which a layout conversion is actually executed."""
         return [edge for edge in self.edge_decisions if edge.needs_conversion]
+
+    def shared_chains(self) -> List[List[EdgeDecision]]:
+        """The conversions grouped by (producer, target layout), in execution order.
+
+        The executor runs the layers in the plan's (topological) layer order,
+        converts once per group and reuses the result for every later
+        consumer — see ``NetworkExecutor.run_traced`` — so each group's first
+        edge is the one whose chain runs.
+        """
+        position = {name: index for index, name in enumerate(self.layer_decisions)}
+        groups: Dict[Tuple[str, str], List[EdgeDecision]] = {}
+        for edge in sorted(self.conversions(), key=lambda edge: position[edge.consumer]):
+            groups.setdefault((edge.producer, edge.target_layout.name), []).append(edge)
+        return list(groups.values())
+
+    def attribute_shared_chains(self) -> None:
+        """Price each shared conversion chain once, on the edge whose chain runs.
+
+        Every other edge of a :meth:`shared_chains` group keeps its chain (the
+        executor still needs it to find the cached tensor) at zero cost and
+        energy, so :attr:`total_cost` and :meth:`cost_vector` equal what the
+        executor pays.
+        """
+        for members in self.shared_chains():
+            for duplicate in members[1:]:
+                duplicate.cost = 0.0
+                duplicate.energy_j = 0.0
 
     def speedup_over(self, baseline: "NetworkPlan") -> float:
         """Speedup of this plan relative to a baseline plan."""

@@ -52,6 +52,7 @@ from repro.layouts.dt_graph import DTGraph
 from repro.layouts.layout import CHW, Layout
 from repro.layouts.transforms import default_transform_library
 from repro.pbqp.graph import PBQPGraph
+from repro.pbqp.solution import PBQPSolution
 from repro.pbqp.solver import PBQPSolver
 from repro.primitives.registry import PrimitiveLibrary, default_primitive_library
 
@@ -315,11 +316,18 @@ class PBQPSelector:
 
     # -- solving ---------------------------------------------------------------------
 
-    def select(self, context: SelectionContext) -> NetworkPlan:
-        """Solve the selection problem and return the legalized plan."""
-        graph, id_to_layer = self.build_pbqp(context)
-        solution = self.solver.solve(graph)
+    def decode(
+        self,
+        context: SelectionContext,
+        graph: PBQPGraph,
+        id_to_layer: Dict[int, str],
+        solution: PBQPSolution,
+    ) -> Tuple[Dict[str, str], Dict[str, Layout]]:
+        """Read a solution back as (conv primitives, wildcard layouts).
 
+        Auxiliary conversion nodes carry no layer decision and are skipped;
+        the result is what :func:`~repro.core.legalize.finalize_plan` takes.
+        """
         conv_primitives: Dict[str, str] = {}
         wildcard_layouts: Dict[str, Layout] = {}
         layout_by_name = {layout.name: layout for layout in context.dt_graph.layouts}
@@ -335,8 +343,15 @@ class PBQPSelector:
                 conv_primitives[layer_name] = label
             else:
                 wildcard_layouts[layer_name] = layout_by_name[label]
+        return conv_primitives, wildcard_layouts
 
-        plan = finalize_plan(context, "pbqp", conv_primitives, wildcard_layouts)
+    def select(self, context: SelectionContext) -> NetworkPlan:
+        """Solve the selection problem and return the legalized plan."""
+        graph, id_to_layer = self.build_pbqp(context)
+        solution = self.solver.solve(graph)
+        plan = finalize_plan(
+            context, "pbqp", *self.decode(context, graph, id_to_layer, solution)
+        )
         stats = self.solver.last_stats
         plan.metadata.update(
             {

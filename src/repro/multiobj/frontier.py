@@ -42,8 +42,8 @@ from repro.core.plan import NetworkPlan
 from repro.core.selector import PBQPSelector, SelectionContext
 from repro.core.strategies import applicable_strategies
 from repro.cost.serialize import plan_from_dict, plan_to_dict
+from repro.cost.tables import CostTables
 from repro.layouts.dt_graph import DTGraph
-from repro.layouts.layout import CHW, Layout
 from repro.multiobj.pareto import (
     _pareto_front,
     knee_index,
@@ -280,35 +280,22 @@ class Frontier:
 # ---------------------------------------------------------------------------
 
 
-def _solve_with_tables(
-    context: SelectionContext, modified: SelectionContext, label: str
-) -> Optional[NetworkPlan]:
-    """Solve PBQP on ``modified`` tables, finalize against the *original* ones.
+def _steered_plan(
+    context: SelectionContext, steering: CostTables, generator: str
+) -> NetworkPlan:
+    """Solve PBQP over ``steering`` tables, finalize against the context's own.
 
-    The modified tables steer the search (gated or scalarized costs); the
+    The steering tables (gated or scalarized costs) direct the search; the
     returned plan's decisions are re-priced from the true tables so its cost
-    vector is exact.  Returns ``None`` when the gated instance is infeasible.
+    vector is exact.
     """
     selector = PBQPSelector()
-    graph, id_to_layer = selector.build_pbqp(modified)
+    graph, id_to_layer = selector.build_pbqp(dataclasses.replace(context, tables=steering))
     solution = selector.solver.solve(graph)
-
-    conv_primitives: Dict[str, str] = {}
-    wildcard_layouts: Dict[str, Layout] = {}
-    layout_by_name = {layout.name: layout for layout in context.dt_graph.layouts}
-    layout_by_name.setdefault(CHW.name, CHW)
-    for node_id, index in solution.assignment.items():
-        layer_name = id_to_layer.get(node_id)
-        if layer_name is None:
-            continue  # auxiliary fan-out conversion node, not a layer decision
-        layer = context.network.layer(layer_name)
-        candidate_label = graph.node(node_id).label_of(index)
-        if layer.is_convolution:
-            conv_primitives[layer_name] = candidate_label
-        else:
-            wildcard_layouts[layer_name] = layout_by_name[candidate_label]
-    plan = finalize_plan(context, "frontier", conv_primitives, wildcard_layouts)
-    plan.metadata["generator"] = label
+    plan = finalize_plan(
+        context, "frontier", *selector.decode(context, graph, id_to_layer, solution)
+    )
+    plan.metadata["generator"] = generator
     return plan
 
 
@@ -430,8 +417,7 @@ def solve_under_workspace_cap(
     gated = _workspace_gated_tables(context, cap_bytes)
     if gated is None:
         return None
-    modified = dataclasses.replace(context, tables=gated)
-    return _solve_with_tables(context, modified, f"cap:{int(cap_bytes)}")
+    return _steered_plan(context, gated, f"cap:{int(cap_bytes)}")
 
 
 def _plan_signature(plan: NetworkPlan) -> tuple:
@@ -508,23 +494,16 @@ def build_frontier(
     if budget is not None:
         caps.append(float(budget))
     for cap in caps:
-        gated = _workspace_gated_tables(context, cap)
-        if gated is None:
-            continue
-        modified = dataclasses.replace(context, tables=gated)
-        plan = _solve_with_tables(context, modified, f"cap:{int(cap)}")
+        plan = solve_under_workspace_cap(context, cap)
         if plan is not None:
             candidates.append((plan, f"cap:{int(cap)}"))
 
     # 3. Weighted scalarization solves.
     for weights in scalarization_weights:
         label = "weights:" + "/".join(f"{w:g}" for w in weights)
-        modified = dataclasses.replace(
-            context, tables=_scalarized_tables(context, weights)
+        candidates.append(
+            (_steered_plan(context, _scalarized_tables(context, weights), label), label)
         )
-        plan = _solve_with_tables(context, modified, label)
-        if plan is not None:
-            candidates.append((plan, label))
 
     # Deduplicate by decision signature (first generator wins) and evaluate
     # every surviving candidate exactly.

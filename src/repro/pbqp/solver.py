@@ -10,7 +10,11 @@ allocation with PBQP" solver, which the paper uses off the shelf:
    remains.  If the core is small enough, solve it exactly by depth-first
    branch-and-bound (the solution stays provably optimal); if it is too
    large, fall back to the RN heuristic interleaved with further reductions,
-   and mark the solution as not provably optimal.
+   and mark the solution as not provably optimal.  The branch-and-bound
+   branches only over part of the core: an independent set of its widest
+   nodes is decided in closed form once their neighbours are fixed, which
+   keeps the fan-out encoding's wide auxiliary conversion nodes out of the
+   search space.
 
 The paper reports that the solver found (and proved) the optimal solution for
 every network in under one second; on the networks in this reproduction the
@@ -107,13 +111,15 @@ class PBQPSolver:
         assignment: Dict[int, int] = {}
         if work.num_nodes > 0:
             stats.core_nodes = work.num_nodes
+            closed = self._closed_form_nodes(work)
             core_size = 1
             for node in work.nodes():
-                core_size *= node.degree_of_freedom
+                if node.node_id not in closed:
+                    core_size *= node.degree_of_freedom
                 if core_size > self.exact_core_limit:
                     break
             if core_size <= self.exact_core_limit:
-                assignment = self._solve_core_exact(work, stats)
+                assignment = self._solve_core_exact(work, closed, stats)
             else:
                 optimal = False
                 self._solve_core_heuristic(work, stack, stats)
@@ -161,16 +167,38 @@ class PBQPSolver:
 
     # -- exact core search ----------------------------------------------------------
 
-    def _solve_core_exact(self, core: PBQPGraph, stats: SolverStats) -> Dict[int, int]:
+    @staticmethod
+    def _closed_form_nodes(core: PBQPGraph) -> List[int]:
+        """An independent set of the core, picked greedily widest first.
+
+        No two of these nodes share an edge, so once every other node is
+        decided each one's best alternative is a plain minimum over its own
+        cost vector plus its (now fixed) edge rows.
+        """
+        closed: List[int] = []
+        for node_id in sorted(
+            core.node_ids, key=lambda nid: core.node(nid).degree_of_freedom, reverse=True
+        ):
+            if not any(core.has_edge(node_id, other) for other in closed):
+                closed.append(node_id)
+        return closed
+
+    def _solve_core_exact(
+        self, core: PBQPGraph, closed: List[int], stats: SolverStats
+    ) -> Dict[int, int]:
         """Depth-first branch-and-bound over the irreducible core.
 
-        Nodes are ordered by decreasing degree so that edge costs become
-        concrete early and the bound is tight.  The lower bound for the
-        remaining nodes is the sum of their minimum node costs plus, for every
-        edge with at least one undecided endpoint, the minimum compatible
-        entry of its cost matrix.
+        The search branches over every node outside ``closed``, ordered by
+        decreasing degree so that edge costs become concrete early and the
+        bound is tight; each complete branch then decides the ``closed``
+        nodes by their exact minimum.  The lower bound for the undecided
+        nodes is the sum of their minimum node costs plus, for every edge
+        with at least one undecided endpoint, the minimum compatible entry of
+        its cost matrix.
         """
-        node_order = sorted(core.node_ids, key=core.degree, reverse=True)
+        node_order = sorted(
+            (nid for nid in core.node_ids if nid not in closed), key=core.degree, reverse=True
+        )
         edges = core.edges()
 
         best_cost = math.inf
@@ -180,11 +208,11 @@ class PBQPSolver:
         # Precompute per-node minimum costs for bounding.
         node_min = {nid: float(np.min(core.node(nid).costs)) for nid in core.node_ids}
 
-        def lower_bound(partial_cost: float, depth: int) -> float:
+        def lower_bound(partial_cost: float) -> float:
             bound = partial_cost
-            undecided = node_order[depth:]
-            for nid in undecided:
-                bound += node_min[nid]
+            for nid in core.node_ids:
+                if nid not in current:
+                    bound += node_min[nid]
             for edge in edges:
                 u_decided = edge.u in current
                 v_decided = edge.v in current
@@ -207,14 +235,24 @@ class PBQPSolver:
                     total += float(edge.matrix[current[edge.u], current[edge.v]])
             return total
 
+        def closed_form(node_id: int) -> int:
+            costs = core.node(node_id).costs.copy()
+            for neighbour in core.neighbors(node_id):
+                costs += core.edge_matrix(node_id, neighbour)[:, current[neighbour]]
+            return int(np.argmin(costs))
+
         def search(depth: int) -> None:
             nonlocal best_cost, best_assignment
             if depth == len(node_order):
+                for node_id in closed:
+                    current[node_id] = closed_form(node_id)
                 cost = partial_cost()
                 stats.core_assignments_explored += 1
                 if cost < best_cost:
                     best_cost = cost
                     best_assignment = dict(current)
+                for node_id in closed:
+                    del current[node_id]
                 return
             node_id = node_order[depth]
             node = core.node(node_id)
@@ -224,15 +262,15 @@ class PBQPSolver:
             for index in order:
                 current[node_id] = int(index)
                 stats.core_assignments_explored += 1
-                if lower_bound(partial_cost(), depth + 1) < best_cost:
+                if lower_bound(partial_cost()) < best_cost:
                     search(depth + 1)
                 del current[node_id]
 
         search(0)
-        if not best_assignment and node_order:
+        if not best_assignment:
             # Every branch was pruned against an infinite bound: the instance
             # has no finite-cost solution; return an arbitrary assignment.
-            best_assignment = {nid: 0 for nid in node_order}
+            best_assignment = {nid: 0 for nid in core.node_ids}
         return best_assignment
 
     # -- back-propagation --------------------------------------------------------------

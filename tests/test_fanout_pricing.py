@@ -8,8 +8,9 @@ conversion nodes.  These tests pin the whole pipeline to the grouped
 formula: PBQP equals the exhaustive network-level reference, the plan's
 predicted conversion accounting equals the executed trace, the RV140
 double-pricing tripwire reports zero on fresh plans (ResNet-18's ``pool1``
-fan-out, the motivating case, pinned on both paper platforms), and legacy
-double-priced documents are transparently re-attributed on load.
+fan-out, the motivating case, pinned on both paper platforms), legacy
+double-priced documents are transparently re-attributed on load, and random
+small DAGs hold all of this as properties.
 """
 
 from __future__ import annotations
@@ -20,19 +21,20 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.plan_verifier import verify_document
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.plan_verifier import verify_document, verify_plan
 from repro.api import Session
 from repro.core.legalize import finalize_plan
 from repro.core.selector import PBQPSelector, SelectionContext
-from repro.cost.platform import PLATFORMS
 from repro.cost.serialize import (
     LEGACY_PLAN_FORMATS,
     PLAN_FORMAT,
     plan_from_dict,
     plan_to_dict,
-    upgrade_plan_document,
 )
-from repro.graph.layer import ConcatLayer, ConvLayer, InputLayer
+from repro.graph.layer import ConcatLayer, ConvLayer, EltwiseAddLayer, InputLayer
 from repro.graph.network import Network
 from repro.layouts.dt_graph import DTGraph
 from repro.layouts.transforms import default_transform_library
@@ -128,6 +130,30 @@ class TestPBQPMatchesBruteforce:
         reference_plan = finalize_plan(context, "bruteforce", conv, wildcard)
         assert reference_plan.total_cost == pytest.approx(reference_cost, rel=1e-9)
         assert plan.total_cost <= reference_plan.total_cost + 1e-12
+
+    def test_wide_conversion_nodes_in_an_irreducible_core(
+        self, small_library, small_dt, intel
+    ):
+        """Two fan-out producers meeting in joins leave their 92-way conversion
+        nodes in the irreducible core; the search must stay exact there."""
+        net = Network("two-fanouts")
+        net.add_layer(InputLayer("data", shape=(4, 8, 8)))
+        for name, producer in (("conv0", "data"), ("conv1", "data")):
+            net.add_layer(ConvLayer(name, out_channels=8, kernel=1), [producer])
+        net.add_layer(ConcatLayer("concat1"), ["data", "conv0"])
+        net.add_layer(ConvLayer("conv2", out_channels=8, kernel=1), ["conv0"])
+        net.add_layer(ConcatLayer("concat2"), ["conv0", "conv1"])
+        net.add_layer(ConcatLayer("head"), ["concat1", "conv2", "concat2"])
+        net.validate()
+        context = SelectionContext.create(
+            net, platform=intel, library=small_library, dt_graph=small_dt
+        )
+        selector = PBQPSelector()
+        plan = selector.select(context)
+        assert selector.solver.last_stats.core_nodes > 0
+        assert plan.metadata["pbqp_optimal"] is True
+        _, _, reference_cost = brute_force_network_select(context)
+        assert plan.metadata["pbqp_cost"] == pytest.approx(reference_cost, rel=1e-9)
 
     def test_shared_chain_priced_once_in_plan(self, small_library, small_dt, intel):
         """Force a fan-out conversion and check exactly one edge carries it."""
@@ -264,15 +290,18 @@ def make_legacy_document(doc: dict) -> dict:
     legacy = copy.deepcopy(doc)
     legacy["format"] = LEGACY_PLAN_FORMATS[0]
     carriers = {}
+    energies = {}
     for edge in legacy["edges"]:
         if edge["hops"]:
             key = (edge["producer"], edge["target_layout"])
             carriers[key] = max(carriers.get(key, 0.0), edge["cost"])
+            energies[key] = max(energies.get(key, 0.0), edge["energy_j"])
     extra = 0.0
     for edge in legacy["edges"]:
         if edge["hops"] and edge["cost"] == 0.0:
             key = (edge["producer"], edge["target_layout"])
             edge["cost"] = carriers[key]
+            edge["energy_j"] = energies[key]
             extra += carriers[key]
     legacy["total_ms"] = doc["total_ms"] + 1e3 * extra
     legacy["cost_vector"] = dict(doc["cost_vector"])
@@ -303,26 +332,54 @@ class TestLegacyUpgrade:
         )
         return plan_to_dict(plan)
 
-    def test_upgrade_reattributes_and_recomputes(self, fresh_doc):
+    def test_plan_from_dict_reattributes_and_recomputes(self, session, fresh_doc):
         legacy = make_legacy_document(fresh_doc)
         assert legacy["total_ms"] > fresh_doc["total_ms"]
-        upgraded = upgrade_plan_document(legacy)
+        upgraded = plan_to_dict(plan_from_dict(legacy, session.dt_graph))
         assert upgraded["format"] == PLAN_FORMAT
-        assert upgraded["total_ms"] == pytest.approx(fresh_doc["total_ms"], rel=1e-9)
-        assert upgraded["cost_vector"]["time_ms"] == pytest.approx(
-            fresh_doc["cost_vector"]["time_ms"], rel=1e-9
-        )
-        for upgraded_edge, fresh_edge in zip(upgraded["edges"], fresh_doc["edges"]):
-            assert upgraded_edge["cost"] == pytest.approx(
-                fresh_edge["cost"], abs=1e-15
-            )
+        assert json.dumps(upgraded, sort_keys=True) == json.dumps(fresh_doc, sort_keys=True)
 
-    def test_upgrade_passes_current_documents_through(self, fresh_doc):
-        assert upgrade_plan_document(fresh_doc) is fresh_doc
+    def test_current_documents_round_trip_unchanged(self, session, fresh_doc):
+        reloaded = plan_to_dict(plan_from_dict(fresh_doc, session.dt_graph))
+        assert json.dumps(reloaded, sort_keys=True) == json.dumps(fresh_doc, sort_keys=True)
 
-    def test_upgrade_refuses_unknown_formats(self):
+    def test_plan_from_dict_refuses_unknown_formats(self, session):
         with pytest.raises(ValueError, match="repro/plan"):
-            upgrade_plan_document({"format": "repro/plan/v0"})
+            plan_from_dict({"format": "repro/plan/v0"}, session.dt_graph)
+
+    @pytest.mark.parametrize("model", ["googlenet", "resnet18", "resnet50", "mobilenet_v2"])
+    @pytest.mark.parametrize("platform", ["intel-haswell", "arm-cortex-a57"])
+    def test_zoo_v1_documents_reload_to_fresh_bytes(self, session, model, platform):
+        fresh = plan_to_dict(session.plan(model, platform, verify=False).network_plan)
+        legacy = make_legacy_document(fresh)
+        reloaded = plan_to_dict(plan_from_dict(legacy, session.dt_graph))
+        assert json.dumps(reloaded, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+
+    def test_v1_reload_follows_execution_order(self, small_library, small_dt, intel):
+        """The join consuming ``conv0`` is inserted before ``conv2`` but runs
+        after it; the reloaded chain must sit on the edge the executor runs."""
+        net = Network("late-join")
+        net.add_layer(InputLayer("data", shape=(4, 8, 8)))
+        net.add_layer(ConvLayer("conv0", out_channels=8, kernel=3, padding=1), ["data"])
+        net.add_layer(ConvLayer("conv1", out_channels=8, kernel=3, padding=1), ["conv0"])
+        net.add_layer(ConcatLayer("join"), ["conv0", "conv1"])
+        net.add_layer(ConvLayer("conv2", out_channels=8, kernel=3, padding=1), ["conv0"])
+        net.validate()
+        context = SelectionContext.create(
+            net, platform=intel, library=small_library, dt_graph=small_dt
+        )
+        layouts = {layout.name: layout for layout in small_dt.layouts}
+        plan = finalize_plan(
+            context,
+            "forced",
+            {"conv0": "sum2d", "conv1": "sum2d", "conv2": "direct_mchw_vf8"},
+            {"data": layouts["CHW"], "join": layouts["CHWc8"]},
+        )
+        (shared,) = [group for group in plan.shared_chains() if len(group) > 1]
+        assert [edge.consumer for edge in shared] == ["conv2", "join"]
+        doc = plan_to_dict(plan)
+        reloaded = plan_to_dict(plan_from_dict(make_legacy_document(doc), small_dt))
+        assert json.dumps(reloaded, sort_keys=True) == json.dumps(doc, sort_keys=True)
 
     def test_plan_from_dict_transparently_upgrades(self, session, fresh_doc):
         legacy = make_legacy_document(fresh_doc)
@@ -348,4 +405,98 @@ class TestLegacyUpgrade:
         stale = [f for f in report.findings if f.rule == "RV100"]
         assert stale, report.to_json()
         assert "stale plan format" in stale[0].message
-        assert "upgrade_plan_document" in stale[0].message
+        assert "plan_from_dict" in stale[0].message
+        assert "Session.plan_from_file" in stale[0].message
+
+    def test_truncated_v1_file_is_a_value_error(self, session, fresh_doc, tmp_path):
+        legacy = make_legacy_document(fresh_doc)
+        del legacy["edges"]
+        path = tmp_path / "truncated.json"
+        path.write_text(json.dumps(legacy, sort_keys=True))
+        with pytest.raises(ValueError, match="edges"):
+            session.plan_from_file(path, network=fanout_network(2, mixed=False))
+
+
+# ---------------------------------------------------------------------------
+# properties over random fan-out DAGs
+
+#: Upper bound on the brute-force search space of one generated network.
+PROPERTY_SEARCH_SPACE = 60_000
+
+
+@st.composite
+def fanout_dags(draw):
+    """A random small DAG: one input, 2-6 convolutions, fan-out 2-3.
+
+    Convolutions mix 1x1 and 3x3 kernels (padded, so every tensor is 8x8);
+    concat joins take two or three open layers, eltwise joins convolution
+    outputs (same 8-channel shape).  A join is only drawn while the
+    brute-force search space (5 primitives per 3x3 convolution, 4 per 1x1,
+    one per DT-graph layout per join) stays under the bound.
+    """
+    net = Network("random-fanout-dag")
+    net.add_layer(InputLayer("data", shape=(4, 8, 8)))
+    fanout = {"data": 0}
+    convs = []
+    space = 1
+    layouts = 8
+
+    def add(layer, inputs, alternatives):
+        nonlocal space
+        net.add_layer(layer, inputs)
+        for name in inputs:
+            fanout[name] += 1
+        fanout[layer.name] = 0
+        space *= alternatives
+
+    count = draw(st.integers(2, 6))
+    for index in range(count):
+        producer = draw(st.sampled_from([n for n, uses in fanout.items() if uses < 3]))
+        kernel = draw(st.sampled_from((1, 3)))
+        name = f"conv{index}"
+        conv = ConvLayer(name, out_channels=8, kernel=kernel, padding=kernel // 2)
+        add(conv, [producer], 4 if kernel == 1 else 5)
+        convs.append(name)
+        join = draw(st.sampled_from((None, "concat", "eltwise")))
+        pool = [n for n, uses in fanout.items() if uses < 3]
+        if join == "eltwise":
+            pool = [n for n in pool if n in convs]
+        remaining = 5 ** (count - index - 1)
+        if join is None or len(pool) < 2 or space * layouts * remaining > PROPERTY_SEARCH_SPACE:
+            continue
+        inputs = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3, unique=True))
+        layer_type = ConcatLayer if join == "concat" else EltwiseAddLayer
+        add(layer_type(f"{join}{index}"), inputs, layouts)
+    assume(max(fanout.values()) >= 2)
+    net.validate()
+    return net
+
+
+class TestRandomFanoutProperties:
+    @settings(
+        max_examples=40,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(network=fanout_dags())
+    def test_pricing_agrees_everywhere(self, network, small_library, small_dt, intel):
+        context = SelectionContext.create(
+            network, platform=intel, library=small_library, dt_graph=small_dt
+        )
+        conv, wildcard, reference_cost = brute_force_network_select(context)
+        plan = PBQPSelector().select(context)
+        reference_plan = finalize_plan(context, "bruteforce", conv, wildcard)
+        assert plan.metadata["pbqp_optimal"] is True
+        assert plan.metadata["pbqp_cost"] == pytest.approx(reference_cost, rel=1e-9)
+        assert reference_plan.total_cost == pytest.approx(reference_cost, rel=1e-9)
+        assert plan.total_cost == pytest.approx(plan.metadata["pbqp_cost"], rel=1e-9)
+
+        report = verify_plan(
+            plan, network=network, library=small_library, dt_graph=small_dt
+        )
+        assert not report.errors, report.to_json()
+
+        doc = plan_to_dict(plan)
+        reloaded = plan_to_dict(plan_from_dict(make_legacy_document(doc), small_dt))
+        assert json.dumps(reloaded, sort_keys=True) == json.dumps(doc, sort_keys=True)

@@ -20,7 +20,6 @@ from repro.multiobj.frontier import (
     workspace_levels,
 )
 from repro.multiobj.pareto import (
-    _nsga2_sort,
     _pareto_front,
     knee_index,
     lexicographic_index,
@@ -86,14 +85,6 @@ class TestParetoSorting:
     def test_exact_duplicate_earliest_record_wins(self):
         vectors = [CostVector(1.0, 1.0, 1.0), CostVector(1.0, 1.0, 1.0)]
         assert _pareto_front(vectors) == [0]
-
-    def test_nsga2_fronts_peel_successively(self):
-        vectors = [
-            CostVector(1.0, 10.0, 0.1),
-            CostVector(2.0, 20.0, 0.2),  # dominated by [0]
-            CostVector(3.0, 30.0, 0.3),  # dominated by [0] and [1]
-        ]
-        assert _nsga2_sort(vectors) == [[0], [1], [2]]
 
     def test_decision_helpers_are_seed_deterministic(self):
         # Two identical vectors: every tie-break must be a seeded draw.

@@ -8,7 +8,6 @@ import pytest
 import repro.cost.provider as provider_module
 from repro.api import (
     ComparisonReport,
-    Engine,
     ExecutionReport,
     Plan,
     Session,
@@ -233,13 +232,15 @@ class TestSelectManyParallel:
         assert len(counting_builds) == 2
         assert session.cache_info().misses == 2
 
-    def test_results_match_sequential_engine(self, library, dt_graph):
+    def test_results_match_sequential_select_many(self, library, dt_graph):
         requests = [
             ("alexnet", "intel-haswell", "pbqp", 1),
             ("alexnet", "arm-cortex-a57", "pbqp", 1),
         ]
         parallel = Session(library=library, dt_graph=dt_graph).select_many(requests)
-        sequential = Engine(library=library, dt_graph=dt_graph).select_many(requests)
+        sequential = Session(library=library, dt_graph=dt_graph).select_many(
+            requests, max_workers=1
+        )
         for p, s in zip(parallel, sequential):
             assert p.plan.conv_selections() == s.plan.conv_selections()
             assert p.total_ms == pytest.approx(s.total_ms)
@@ -444,32 +445,13 @@ class TestCostStore:
         assert warm_result.total_ms == pytest.approx(cold_result.total_ms)
 
 
-class TestEngineShim:
-    def test_engine_is_a_session(self, library, dt_graph):
-        engine = Engine(library=library, dt_graph=dt_graph)
-        assert isinstance(engine, Session)
-
-    def test_engine_compare_keeps_registry_order(self, library, dt_graph):
-        from repro.core.strategies import applicable_strategies
-
-        engine = Engine(library=library, dt_graph=dt_graph)
-        results = engine.compare("alexnet", "intel-haswell")
-        assert isinstance(results, list)
-        expected = [
-            s.name
-            for s in applicable_strategies(
-                engine.context_for("alexnet", "intel-haswell")
-            )
-        ]
-        assert [r.strategy for r in results] == expected
-
-    def test_engine_run_end_to_end(self, library, dt_graph):
-        """Acceptance: Engine.run('alexnet', 'intel-haswell') works end-to-end."""
-        engine = Engine(library=library, dt_graph=dt_graph)
-        report = engine.run("alexnet", "intel-haswell")
+class TestSessionRun:
+    def test_run_end_to_end(self, session):
+        """Acceptance: Session.run('alexnet', 'intel-haswell') works end-to-end."""
+        report = session.run("alexnet", "intel-haswell")
         assert isinstance(report, ExecutionReport)
         assert report.model == "alexnet"
-        network = engine.context_for("alexnet", "intel-haswell").network
+        network = session.context_for("alexnet", "intel-haswell").network
         assert [entry.layer for entry in report.layers] == [
             layer.name for layer in network.topological_order()
         ]
