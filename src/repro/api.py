@@ -30,7 +30,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -168,6 +168,57 @@ class CacheInfo:
 class _CacheState:
     hits: int = 0
     misses: int = 0
+
+
+class DocumentCache:
+    """Values keyed by request tuple, each built exactly once.
+
+    Per-key build locks mean a stampede of identical cold requests performs
+    one build while the rest wait for it.  The session memoizes its profiled
+    contexts in one (keyed by :attr:`CostQuery.context_key
+    <repro.cost.provider.CostQuery.context_key>`), and the planning service
+    its finished response documents in another.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._documents: Dict[Hashable, Any] = {}
+        self._build_locks: Dict[Hashable, threading.Lock] = {}
+
+    def get_or_build(self, key: Hashable, build: Callable[[], Any]) -> Tuple[Any, bool]:
+        """Return ``(document, was_cached)``, building at most once per key.
+
+        Double-checked: the global lock guards the dictionaries, a per-key
+        lock serializes builders of the same key (a thread that waited on the
+        build lock finds the document and reports it cached).
+        """
+        with self._lock:
+            document = self._documents.get(key)
+            if document is not None:
+                return document, True
+            build_lock = self._build_locks.setdefault(key, threading.Lock())
+        with build_lock:
+            with self._lock:
+                document = self._documents.get(key)
+                if document is not None:
+                    return document, True
+            document = build()
+            with self._lock:
+                self._documents[key] = document
+            return document, False
+
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            return key in self._documents
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._documents)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._documents.clear()
+            self._build_locks.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +664,15 @@ class Session:
         if cache_dir is not None and not isinstance(resolved, CostStore):
             resolved = CostStore(cache_dir, resolved)
         self.provider: CostProvider = resolved
-        self._contexts: Dict[Tuple[str, str, int, int, str], SelectionContext] = {}
+        # The session is shared by every thread of the planning service.  The
+        # context memo builds each key at most once, so concurrent misses on
+        # the *same* key perform exactly one table build (other keys keep
+        # building in parallel); the network memo and the statistics live
+        # behind one lock.
+        self._contexts = DocumentCache()
         self._networks: Dict[str, Network] = {}
         self._stats = _CacheState()
-        # The session is shared by every thread of the planning service, so
-        # the memoization dictionaries live behind one lock, with a per-key
-        # build lock so concurrent misses on the *same* key perform exactly
-        # one table build (other keys keep building in parallel).
         self._lock = threading.Lock()
-        self._build_locks: Dict[Tuple[str, str, int, int, str], threading.Lock] = {}
 
     # -- cache plumbing ---------------------------------------------------------
 
@@ -666,18 +717,23 @@ class Session:
 
     def _query(
         self,
-        fingerprint: str,
-        network: Network,
-        platform: Optional[Platform],
-        platform_name: str,
+        model: ModelLike,
+        platform: PlatformLike,
         threads: int,
-        batch: int = 1,
-        dtype: str = "fp32",
+        batch: int,
+        dtype: str,
     ) -> CostQuery:
+        """Validate and resolve one (model, platform, threads, batch, dtype) request."""
+        if batch < 1:
+            raise ValueError("batch must be >= 1")
+        if dtype not in DTYPES:
+            raise ValueError(f"unknown dtype {dtype!r}; expected one of {DTYPES}")
+        resolved, platform_name = self._resolve_platform(platform)
+        fingerprint, network = self._resolve_network(model)
         return CostQuery(
             network=network,
             fingerprint=fingerprint,
-            platform=platform,
+            platform=resolved,
             platform_name=platform_name,
             threads=threads,
             library=self.library,
@@ -686,34 +742,22 @@ class Session:
             dtype=dtype,
         )
 
-    def _build_context(
-        self,
-        fingerprint: str,
-        network: Network,
-        platform: Optional[Platform],
-        platform_name: str,
-        threads: int,
-        batch: int = 1,
-        dtype: str = "fp32",
-    ) -> SelectionContext:
+    def _build_context(self, query: CostQuery) -> SelectionContext:
         """Build a selection context with tables from the cost provider."""
-        query = self._query(
-            fingerprint, network, platform, platform_name, threads, batch, dtype
-        )
         tables = self.provider.tables(query)
         context = SelectionContext(
-            network=network,
+            network=query.network,
             library=self.library,
             dt_graph=self.dt_graph,
-            cost_model=self.provider.cost_model(platform),
-            platform_name=platform_name,
-            threads=threads,
+            cost_model=self.provider.cost_model(query.platform),
+            platform_name=query.platform_name,
+            threads=query.threads,
             tables=tables,
-            platform=platform,
-            batch=batch,
-            dtype=dtype,
+            platform=query.platform,
+            batch=query.batch,
+            dtype=query.dtype,
         )
-        if threads != 1:
+        if query.threads != 1:
             # Framework emulations lazily need single-threaded tables; route
             # that rebuild through the provider so a persistent store serves
             # (and captures) it too.
@@ -721,54 +765,17 @@ class Session:
             context.single_thread_tables_factory = lambda: self.provider.tables(single)
         return context
 
-    def _ensure_context(
-        self, key: Tuple[str, str, int, int, str], builder_args: Tuple
-    ) -> Tuple[SelectionContext, bool]:
-        """Memoized-or-built context for ``key``, built at most once.
-
-        Double-checked: the global lock guards the dictionaries, a per-key
-        lock serializes builders of the same key (a thread that waited on the
-        build lock finds the context and counts a hit — one table build per
-        key no matter how many threads raced for it).
-        """
-        with self._lock:
-            context = self._contexts.get(key)
-            if context is not None:
-                self._stats.hits += 1
-                return context, True
-            build_lock = self._build_locks.setdefault(key, threading.Lock())
-        with build_lock:
-            with self._lock:
-                context = self._contexts.get(key)
-                if context is not None:
-                    self._stats.hits += 1
-                    return context, True
-            context = self._build_context(*builder_args)
-            with self._lock:
-                self._stats.misses += 1
-                self._contexts[key] = context
-            return context, False
-
-    def _lookup(
-        self,
-        model: ModelLike,
-        platform: PlatformLike,
-        threads: int,
-        batch: int = 1,
-        dtype: str = "fp32",
-    ) -> Tuple[str, SelectionContext, bool]:
-        """Resolve a query to (fingerprint, memoized context, was-cache-hit)."""
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if dtype not in DTYPES:
-            raise ValueError(f"unknown dtype {dtype!r}; expected one of {DTYPES}")
-        resolved, platform_name = self._resolve_platform(platform)
-        fingerprint, network = self._resolve_network(model)
-        key = (fingerprint, platform_name, threads, batch, dtype)
-        context, hit = self._ensure_context(
-            key, (fingerprint, network, resolved, platform_name, threads, batch, dtype)
+    def _context(self, query: CostQuery) -> Tuple[SelectionContext, bool]:
+        """The memoized context of ``query`` (built at most once) and whether it was cached."""
+        context, cached = self._contexts.get_or_build(
+            query.context_key, lambda: self._build_context(query)
         )
-        return fingerprint, context, hit
+        with self._lock:
+            if cached:
+                self._stats.hits += 1
+            else:
+                self._stats.misses += 1
+        return context, cached
 
     def context_for(
         self,
@@ -779,7 +786,7 @@ class Session:
         dtype: str = "fp32",
     ) -> SelectionContext:
         """The memoized profiled context for one (model, platform, threads, batch, dtype)."""
-        return self._lookup(model, platform, threads, batch, dtype)[1]
+        return self._context(self._query(model, platform, threads, batch, dtype))[0]
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss counters and the number of cached contexts."""
@@ -796,10 +803,9 @@ class Session:
         The persistent store (if any) is untouched; use
         :meth:`CostStore.clear` to delete on-disk entries.
         """
+        self._contexts.clear()
         with self._lock:
-            self._contexts.clear()
             self._networks.clear()
-            self._build_locks.clear()
             self._stats = _CacheState()
 
     # -- selection API ----------------------------------------------------------
@@ -821,25 +827,31 @@ class Session:
             If the strategy's :meth:`~repro.core.strategies.Strategy.applies_to`
             gate rejects the context's platform (e.g. ``mkldnn`` on ARM).
         """
-        chosen = get_strategy(strategy)
-        fingerprint, context, from_cache = self._lookup(
-            model, platform, threads, batch, dtype
-        )
+        return self._select(
+            get_strategy(strategy), self._query(model, platform, threads, batch, dtype)
+        )[0]
+
+    def _select(
+        self, chosen: Strategy, query: CostQuery
+    ) -> Tuple[SelectionResult, SelectionContext]:
+        """Run one strategy on the memoized context of ``query``; returns both."""
+        context, from_cache = self._context(query)
         if not chosen.applies_to(context):
             raise ValueError(
                 f"strategy {chosen.name!r} does not apply to platform "
                 f"{context.platform_name!r}"
             )
-        return SelectionResult(
-            model=fingerprint,
+        result = SelectionResult(
+            model=query.fingerprint,
             platform=context.platform_name,
-            threads=threads,
+            threads=query.threads,
             strategy=chosen.name,
             plan=chosen.build_plan(context),
             from_cache=from_cache,
-            batch=batch,
-            dtype=dtype,
+            batch=query.batch,
+            dtype=query.dtype,
         )
+        return result, context
 
     def plan(
         self,
@@ -860,10 +872,10 @@ class Session:
         provider is caught here, before anything executes.  Pass
         ``verify=False`` to opt out (e.g. in tight benchmarking loops).
         """
-        result = self.select(
-            model, platform, strategy=strategy, threads=threads, batch=batch, dtype=dtype
+        result, context = self._select(
+            get_strategy(strategy), self._query(model, platform, threads, batch, dtype)
         )
-        _, network = self._resolve_network(model)
+        network = context.network
         if verify:
             from repro.analysis.plan_verifier import raise_for_report, verify_plan
 
@@ -1031,19 +1043,15 @@ class Session:
         baseline (priced at the same batch and dtype, so speedups compare
         like with like).
         """
-        context = self.context_for(model, platform, threads, batch, dtype)
+        query = self._query(model, platform, threads, batch, dtype)
+        context, _ = self._context(query)
         if strategies is None:
             chosen: List[Strategy] = applicable_strategies(
                 context, include_frameworks=include_frameworks
             )
         else:
             chosen = [get_strategy(name) for name in strategies]
-        results = [
-            self.select(
-                model, platform, strategy=strategy.name, threads=threads, batch=batch, dtype=dtype
-            )
-            for strategy in chosen
-        ]
+        results = [self._select(strategy, query)[0] for strategy in chosen]
         baseline = self.baseline(model, platform, batch=batch, dtype=dtype)
         return ComparisonReport(
             model=baseline.model,
@@ -1060,65 +1068,42 @@ class Session:
         requests: Iterable[Union[SelectionRequest, Tuple]],
         max_workers: Optional[int] = None,
     ) -> List[SelectionResult]:
-        """Batch entry point over (model, platform, strategy, threads) combos.
+        """Batch entry point over (model, platform, strategy, threads, batch, dtype) combos.
 
         Accepts :class:`SelectionRequest` objects or plain tuples in the same
-        field order.  Requests are grouped by their ``(network fingerprint,
-        platform, threads, batch, dtype)`` context key; each *distinct* cold context is
-        profiled once, on a thread pool when there is more than one, and the
-        per-request selections then run against the warm cache.  Results are
-        returned in request order.
+        field order.  Requests are grouped by their
+        :attr:`~repro.cost.provider.CostQuery.context_key`; each *distinct*
+        cold context is profiled once, on a thread pool when there is more
+        than one, and the per-request selections then run against the warm
+        cache.  Results are returned in request order.
         """
         normalized = [
             request if isinstance(request, SelectionRequest) else SelectionRequest(*request)
             for request in requests
         ]
-        pending: Dict[Tuple[str, str, int, int, str], Tuple] = {}
-        for request in normalized:
-            resolved, platform_name = self._resolve_platform(request.platform)
-            fingerprint, network = self._resolve_network(request.model)
-            key = (
-                fingerprint,
-                platform_name,
-                request.threads,
-                request.batch,
-                request.dtype,
+        queries = [
+            self._query(
+                request.model, request.platform, request.threads, request.batch, request.dtype
             )
-            with self._lock:
-                cached = key in self._contexts
-            if not cached and key not in pending:
-                pending[key] = (
-                    fingerprint,
-                    network,
-                    resolved,
-                    platform_name,
-                    request.threads,
-                    request.batch,
-                    request.dtype,
-                )
-        # _ensure_context dedups per key, so a request mix that races with
-        # other session users still performs one build per distinct context.
+            for request in normalized
+        ]
+        pending: Dict[Tuple[str, str, int, int, str], CostQuery] = {}
+        for query in queries:
+            if query.context_key not in self._contexts:
+                pending.setdefault(query.context_key, query)
+        # _context builds each key at most once, so a request mix that races
+        # with other session users still performs one build per distinct context.
         if len(pending) == 1 or max_workers == 1:
-            for key, args in pending.items():
-                self._ensure_context(key, args)
+            for query in pending.values():
+                self._context(query)
         elif pending:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(self._ensure_context, key, args)
-                    for key, args in pending.items()
-                ]
+                futures = [pool.submit(self._context, query) for query in pending.values()]
             for future in futures:
                 future.result()
         return [
-            self.select(
-                request.model,
-                request.platform,
-                strategy=request.strategy,
-                threads=request.threads,
-                batch=request.batch,
-                dtype=request.dtype,
-            )
-            for request in normalized
+            self._select(get_strategy(request.strategy), query)[0]
+            for request, query in zip(normalized, queries)
         ]
 
     def baseline(

@@ -59,21 +59,6 @@ from repro.models import MODEL_BUILDERS
 from repro.runtime.codegen import render_schedule
 
 
-def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    """Positional model name plus the equivalent ``--network`` option."""
-    parser.add_argument(
-        "model",
-        nargs="?",
-        choices=sorted(MODEL_BUILDERS),
-        help="model zoo network (positional form)",
-    )
-    parser.add_argument(
-        "--network",
-        choices=sorted(MODEL_BUILDERS),
-        help="model zoo network (option form, equivalent to the positional)",
-    )
-
-
 def _resolve_model(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
     """The network a subcommand should operate on, from either spelling."""
     if args.model and args.network and args.model != args.network:
@@ -114,31 +99,50 @@ def _add_threads_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        help="minibatch size to price and execute (default: 1, the paper's setting)",
-    )
-
-
-def _add_dtype_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dtype",
-        choices=DTYPES,
-        default="fp32",
-        help="numeric precision to price and execute (default: fp32, the "
-        "paper's setting)",
-    )
-
-
 def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
         help="persist cost tables in this directory (skips profiling when warm)",
     )
+
+
+def _add_selection_arguments(
+    parser: argparse.ArgumentParser, dtype: bool = True
+) -> None:
+    """The arguments shared by select/run/compare/frontier, in ``--help`` order.
+
+    The network is accepted positionally or as ``--network``; ``dtype=False``
+    leaves out ``--dtype`` (the frontier spans every precision itself).
+    """
+    parser.add_argument(
+        "model",
+        nargs="?",
+        choices=sorted(MODEL_BUILDERS),
+        help="model zoo network (positional form)",
+    )
+    parser.add_argument(
+        "--network",
+        choices=sorted(MODEL_BUILDERS),
+        help="model zoo network (option form, equivalent to the positional)",
+    )
+    _add_platform_argument(parser)
+    _add_threads_argument(parser)
+    parser.add_argument(
+        "--batch",
+        type=int,
+        default=1,
+        help="minibatch size to price and execute (default: 1, the paper's setting)",
+    )
+    if dtype:
+        parser.add_argument(
+            "--dtype",
+            choices=DTYPES,
+            default="fp32",
+            help="numeric precision to price and execute (default: fp32, the "
+            "paper's setting)",
+        )
+    _add_cache_dir_argument(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,12 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     select = subparsers.add_parser("select", help="run primitive selection for a model")
-    _add_model_arguments(select)
-    _add_platform_argument(select)
-    _add_threads_argument(select)
-    _add_batch_argument(select)
-    _add_dtype_argument(select)
-    _add_cache_dir_argument(select)
+    _add_selection_arguments(select)
     select.add_argument(
         "--strategy",
         choices=registered_names(),
@@ -174,12 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser(
         "run", help="plan and execute one forward pass, reporting per-layer times"
     )
-    _add_model_arguments(run)
-    _add_platform_argument(run)
-    _add_threads_argument(run)
-    _add_batch_argument(run)
-    _add_dtype_argument(run)
-    _add_cache_dir_argument(run)
+    _add_selection_arguments(run)
     run.add_argument(
         "--strategy",
         choices=registered_names(),
@@ -198,22 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     compare = subparsers.add_parser(
         "compare", help="evaluate every selection strategy for one model"
     )
-    _add_model_arguments(compare)
-    _add_platform_argument(compare)
-    _add_threads_argument(compare)
-    _add_batch_argument(compare)
-    _add_dtype_argument(compare)
-    _add_cache_dir_argument(compare)
+    _add_selection_arguments(compare)
 
     frontier = subparsers.add_parser(
         "frontier",
         help="build the multi-objective Pareto frontier of plans for one model",
     )
-    _add_model_arguments(frontier)
-    _add_platform_argument(frontier)
-    _add_threads_argument(frontier)
-    _add_batch_argument(frontier)
-    _add_cache_dir_argument(frontier)
+    _add_selection_arguments(frontier, dtype=False)
     frontier.add_argument(
         "--seed", type=int, default=0, help="tie-breaking seed (default: 0)"
     )

@@ -1,11 +1,11 @@
 """Pluggable cost providers: where a session's cost tables come from.
 
 The paper's workflow is "profile once, select many": the cost tables for one
-(network, platform, thread-count) triple are produced ahead of time and then
-drive any number of selection queries.  A :class:`CostProvider` abstracts the
-*producing* side of that workflow behind one call — given a
-:class:`CostQuery` describing the triple (plus the components needed to build
-tables), return :class:`~repro.cost.tables.CostTables`.
+(network, platform, threads, batch, dtype) context are produced ahead of time
+and then drive any number of selection queries.  A :class:`CostProvider`
+abstracts the *producing* side of that workflow behind one call — given a
+:class:`CostQuery` describing the context (plus the components needed to
+build tables), return :class:`~repro.cost.tables.CostTables`.
 
 Three providers ship with the reproduction:
 
@@ -16,9 +16,10 @@ Three providers ship with the reproduction:
   host machine (:class:`~repro.cost.profiler.WallClockProfiler`), the paper's
   original layerwise-profiling methodology;
 * :class:`~repro.cost.store.CostStore` — a disk-backed decorator around any
-  other provider that persists produced tables as JSON keyed by
-  ``(network fingerprint, platform, threads, provider version)``, so warm
-  selections survive process restarts.
+  other provider that persists produced tables as JSON keyed by a
+  :class:`~repro.cost.store.StoreKey` (the query's context key plus the
+  provider's name and version, the components digest and the platform
+  version), so warm selections survive process restarts.
 
 :class:`CostModelProvider` adapts an arbitrary
 :class:`~repro.cost.model.CostModel` (used by the ablation experiments to
@@ -75,14 +76,6 @@ class CostQuery:
         """The same query at a different thread count."""
         return dataclasses.replace(self, threads=threads)
 
-    def with_batch(self, batch: int) -> "CostQuery":
-        """The same query at a different minibatch size."""
-        return dataclasses.replace(self, batch=batch)
-
-    def with_dtype(self, dtype: str) -> "CostQuery":
-        """The same query at a different numeric precision."""
-        return dataclasses.replace(self, dtype=dtype)
-
 
 @runtime_checkable
 class CostProvider(Protocol):
@@ -102,7 +95,7 @@ class CostProvider(Protocol):
     version: str
 
     def tables(self, query: CostQuery) -> CostTables:
-        """Produce the cost tables for one (network, platform, threads) query."""
+        """Produce the cost tables for one query."""
         ...
 
     def cost_model(self, platform: Optional[Platform]) -> CostModel:

@@ -6,9 +6,10 @@ before deployment, and ship them with the trained model".  The in-process
 caches of :class:`repro.api.Session` realize "profile once, select many"
 within one process; :class:`CostStore` extends it across processes: every
 produced table set is written to a cache directory as a JSON document keyed
-by ``(network fingerprint, platform, threads, batch, provider name, provider
-version, platform registry version)``, and any later session pointed at the
-same directory loads the tables instead of re-profiling.
+by a :class:`StoreKey` — the query's ``(network fingerprint, platform,
+threads, batch, dtype)`` context key plus the provider name and version, the
+components digest and the platform version — and any later session pointed at
+the same directory loads the tables instead of re-profiling.
 
 The store is itself a :class:`~repro.cost.provider.CostProvider` — it
 decorates any other provider, so the same persistence works for analytically
@@ -161,6 +162,30 @@ class EvictionReport:
     @property
     def removed(self) -> int:
         return self.stale_format + self.stale_platform + self.expired
+
+
+def write_json_atomically(path: Path, document: dict) -> None:
+    """Write ``document`` to ``path`` as sorted-key JSON, never leaving a torn file.
+
+    Write-then-rename, so a crashed process never leaves a torn document.
+    The temp name must be unique per *call*, not per process: two threads
+    writing the same path would interleave on a shared pid-suffixed file and
+    rename a torn document (or find it already renamed away).  The temp file
+    lives beside the target so the rename stays atomic (same filesystem,
+    same directory).  Both the cost store and the service's plan-document
+    tier write through here.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.NamedTemporaryFile(
+        "w",
+        dir=path.parent,
+        prefix=f".{path.stem}-",
+        suffix=".tmp",
+        delete=False,
+    ) as handle:
+        temporary = Path(handle.name)
+        handle.write(json.dumps(document, sort_keys=True))
+    temporary.replace(path)
 
 
 def _slug(text: str) -> str:
@@ -405,28 +430,14 @@ class CostStore:
     # -- plumbing -----------------------------------------------------------------
 
     def _write(self, path: Path, key: StoreKey, tables: CostTables) -> None:
-        document = {
-            "format": STORE_ENTRY_FORMAT,
-            "key": asdict(key),
-            "tables": cost_tables_to_dict(tables),
-        }
-        # Write-then-rename so a crashed process never leaves a torn entry.
-        # The temp name must be unique per *call*, not per process: two
-        # threads (e.g. select_many workers) writing the same key would
-        # interleave on a shared pid-suffixed file and rename a torn document.
-        # The temp file lives in the target's shard so the rename stays atomic
-        # (same filesystem, same directory).
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile(
-            "w",
-            dir=path.parent,
-            prefix=f".{path.stem}-",
-            suffix=".tmp",
-            delete=False,
-        ) as handle:
-            temporary = Path(handle.name)
-            handle.write(json.dumps(document, sort_keys=True))
-        temporary.replace(path)
+        write_json_atomically(
+            path,
+            {
+                "format": STORE_ENTRY_FORMAT,
+                "key": asdict(key),
+                "tables": cost_tables_to_dict(tables),
+            },
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -36,7 +36,7 @@ from repro.service.app import PlannerApp, make_server, serve
 from repro.service.client import PlannerClient, ServiceError
 from repro.service.handlers import ENDPOINTS, register_endpoint
 from repro.service.metrics import Metrics
-from repro.service.workers import WarmJob, WarmingQueue, executor, grid_jobs
+from repro.service.workers import WarmingQueue, executor, grid_jobs
 
 __all__ = [
     "PlannerApp",
@@ -47,7 +47,6 @@ __all__ = [
     "ENDPOINTS",
     "register_endpoint",
     "Metrics",
-    "WarmJob",
     "WarmingQueue",
     "executor",
     "grid_jobs",

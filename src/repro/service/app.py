@@ -17,8 +17,8 @@ pass — *every* problem is reported, as structured JSON::
 
 Shared state is a single thread-safe :class:`~repro.api.Session` (its context
 memoization is lock-protected, so concurrent requests for the same tables
-trigger exactly one build) plus a :class:`DocumentCache` of finished response
-documents keyed by the full request tuple.  A warm ``POST /v1/plan`` is
+trigger exactly one build) plus a :class:`~repro.api.DocumentCache` of
+finished response documents keyed by the request.  A warm ``POST /v1/plan`` is
 therefore a dictionary read — zero PBQP solves, which ``/v1/metrics`` proves
 via the process-wide :func:`repro.pbqp.solver.solve_count`.
 """
@@ -28,14 +28,15 @@ from __future__ import annotations
 import functools
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
-from repro.api import Session
+from repro.api import DocumentCache, SelectionRequest, Session
+from repro.cost.store import write_json_atomically
 from repro.service.metrics import Metrics, labelled
 
 #: Format identifier carried by every successful response envelope.
@@ -157,53 +158,6 @@ def error_payload(code: str, message: str, **extra: Any) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The response-document cache
-# ---------------------------------------------------------------------------
-
-
-class DocumentCache:
-    """Finished response documents keyed by request tuple, built exactly once.
-
-    Per-key build locks mean a stampede of identical cold requests performs
-    one plan build while the rest wait for it — the same discipline the
-    session applies to cost-table construction, one level up.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._documents: Dict[tuple, dict] = {}
-        self._build_locks: Dict[tuple, threading.Lock] = {}
-
-    def get_or_build(
-        self, key: tuple, build: Callable[[], dict]
-    ) -> Tuple[dict, bool]:
-        """Return ``(document, was_cached)``, building at most once per key."""
-        with self._lock:
-            document = self._documents.get(key)
-            if document is not None:
-                return document, True
-            build_lock = self._build_locks.setdefault(key, threading.Lock())
-        with build_lock:
-            with self._lock:
-                document = self._documents.get(key)
-                if document is not None:
-                    return document, True
-            document = build()
-            with self._lock:
-                self._documents[key] = document
-            return document, False
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._documents)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._documents.clear()
-            self._build_locks.clear()
-
-
-# ---------------------------------------------------------------------------
 # The disk document tier
 # ---------------------------------------------------------------------------
 #
@@ -211,22 +165,14 @@ class DocumentCache:
 # ``<cache_dir>/plans/``), one file per (model, platform, strategy, threads,
 # batch, dtype) combination.  The tier closes the gap process-pool warming
 # left open: a worker process can only hand results back through the disk, so
-# the daemon consults this tier on a DocumentCache miss *before* solving —
+# the daemon consults this tier on a document-cache miss *before* solving —
 # a process-warmed combination is then served with zero in-daemon solves.
 
 #: Subdirectory of the cache dir holding persisted plan documents.
 PLAN_DOCUMENT_DIR = "plans"
 
 
-def build_plan_document(
-    session: Session,
-    model: str,
-    platform: str,
-    strategy: str = "pbqp",
-    threads: int = 1,
-    batch: int = 1,
-    dtype: str = "fp32",
-) -> dict:
+def build_plan_document(session: Session, request: SelectionRequest) -> dict:
     """The canonical ``/v1/plan`` response document (used by daemon and warmers).
 
     The embedded ``"plan"`` value is exactly
@@ -238,7 +184,12 @@ def build_plan_document(
     from repro.cost.serialize import plan_to_dict
 
     plan = session.plan(
-        model, platform, strategy=strategy, threads=threads, batch=batch, dtype=dtype
+        request.model,
+        request.platform,
+        strategy=request.strategy,
+        threads=request.threads,
+        batch=request.batch,
+        dtype=request.dtype,
     )
     result = plan.result
     return {
@@ -255,33 +206,29 @@ def build_plan_document(
     }
 
 
-def plan_document_path(cache_dir: str, job) -> str:
-    """Where one warm job's plan document lives on disk (a stable, flat name)."""
+def plan_document_path(cache_dir: str, request: SelectionRequest) -> str:
+    """Where one request's plan document lives on disk (a stable, flat name)."""
     name = (
-        f"{job.model}_{job.platform}_{job.strategy}"
-        f"_{job.threads}t_b{job.batch}_{job.dtype}.json"
+        f"{request.model}_{request.platform}_{request.strategy}"
+        f"_{request.threads}t_b{request.batch}_{request.dtype}.json"
     )
     return os.path.join(cache_dir, PLAN_DOCUMENT_DIR, name)
 
 
-def write_plan_document(cache_dir: str, document: dict, job) -> str:
+def write_plan_document(cache_dir: str, document: dict, request: SelectionRequest) -> str:
     """Persist one plan document atomically; returns its path."""
-    path = plan_document_path(cache_dir, job)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-    os.replace(tmp, path)
+    path = plan_document_path(cache_dir, request)
+    write_json_atomically(Path(path), document)
     return path
 
 
-def read_plan_document(cache_dir: str, job) -> Optional[dict]:
+def read_plan_document(cache_dir: str, request: SelectionRequest) -> Optional[dict]:
     """Load one persisted plan document, or ``None`` when absent/unreadable.
 
     A corrupt or foreign-format file is treated as a miss (the daemon simply
     rebuilds and overwrites), never as an error.
     """
-    path = plan_document_path(cache_dir, job)
+    path = plan_document_path(cache_dir, request)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -346,7 +293,7 @@ class PlannerApp:
                 )
             run_job = functools.partial(warm_plan_job, cache_dir)
         else:
-            run_job = self._warm_one
+            run_job = self.plan_document
         self.warming = WarmingQueue(
             run_job,
             metrics=self.metrics,
@@ -356,15 +303,7 @@ class PlannerApp:
 
     # -- shared planning entry points -------------------------------------------
 
-    def plan_document(
-        self,
-        model: str,
-        platform: str,
-        strategy: str = "pbqp",
-        threads: int = 1,
-        batch: int = 1,
-        dtype: str = "fp32",
-    ) -> Tuple[dict, bool]:
+    def plan_document(self, request: SelectionRequest) -> Tuple[dict, bool]:
         """The response document for one plan request, cached by its key.
 
         On a :class:`DocumentCache` miss the disk document tier is consulted
@@ -374,14 +313,10 @@ class PlannerApp:
         the tier, so a later daemon over the same ``cache_dir`` skips the
         solve too.
         """
-        from repro.service.workers import WarmJob
-
-        key = ("plan", model, platform, strategy, threads, batch, dtype)
-        job = WarmJob(model, platform, strategy, threads, batch, dtype)
 
         def build() -> dict:
             if self.cache_dir is not None:
-                document = read_plan_document(self.cache_dir, job)
+                document = read_plan_document(self.cache_dir, request)
                 if document is not None:
                     # Disk-tier documents come from other processes (warming
                     # workers, earlier daemons) and may be stale or corrupt;
@@ -390,7 +325,7 @@ class PlannerApp:
                     from repro.analysis.plan_verifier import verify_document
 
                     report = verify_document(
-                        document, source=plan_document_path(self.cache_dir, job)
+                        document, source=plan_document_path(self.cache_dir, request)
                     )
                     if report.ok:
                         self.metrics.inc("plan_disk_hits")
@@ -406,33 +341,14 @@ class PlannerApp:
                     else:
                         self.metrics.inc("plan_disk_invalid")
             with self.metrics.time("plan_build_ms"):
-                document = build_plan_document(
-                    self.session,
-                    model,
-                    platform,
-                    strategy=strategy,
-                    threads=threads,
-                    batch=batch,
-                    dtype=dtype,
-                )
+                document = build_plan_document(self.session, request)
             if self.cache_dir is not None:
-                write_plan_document(self.cache_dir, document, job)
+                write_plan_document(self.cache_dir, document, request)
             return document
 
-        document, cached = self.documents.get_or_build(key, build)
+        document, cached = self.documents.get_or_build(request, build)
         self.metrics.inc("plan_cache_hits" if cached else "plan_cache_misses")
         return document, cached
-
-    def _warm_one(self, job) -> None:
-        """Warming-queue callback: build (and thereby cache) one plan."""
-        self.plan_document(
-            job.model,
-            job.platform,
-            strategy=job.strategy,
-            threads=job.threads,
-            batch=job.batch,
-            dtype=job.dtype,
-        )
 
     def start_warming(
         self,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, Tuple
 
+from repro.api import SelectionRequest
 from repro.core.strategies import registered_names
 from repro.cost.platform import PLATFORMS, list_platforms
 from repro.graph.scenario import DTYPES
@@ -81,15 +82,9 @@ _CONSTRAINT_KEYS = tuple(f"{objective}_max" for objective in OBJECTIVES)
     description="select one plan (cached; warm requests perform zero solves)",
 )
 def handle_plan(app: PlannerApp, params: Params) -> dict:
+    # The endpoint's fields are exactly SelectionRequest's, defaults included.
     try:
-        document, cached = app.plan_document(
-            params["model"],
-            params["platform"],
-            strategy=params["strategy"],
-            threads=params["threads"],
-            batch=params["batch"],
-            dtype=params["dtype"],
-        )
+        document, cached = app.plan_document(SelectionRequest(**params))
     except ValueError as exc:
         # Strategy gating (e.g. mkldnn on a NEON platform) is a client error.
         raise ApiError(400, "strategy_not_applicable", str(exc)) from None

@@ -4,8 +4,8 @@ The shape follows cf-scripts' ``executors.py``: one :func:`executor` context
 manager yields a :class:`concurrent.futures`-compatible pool for a *kind*
 string — ``"serial"`` (in-line, deterministic, no threads), ``"thread"`` (the
 default; warming shares the daemon's session and plan cache) or ``"process"``
-(true parallelism for picklable work, e.g. warming a *disk store* from
-independent worker processes via :func:`warm_store_entry`).
+(true parallelism for picklable work, e.g. planning into the shared disk
+tiers from independent worker processes via :func:`warm_plan_job`).
 
 :class:`WarmingQueue` is the service's background profiling/warming pump:
 ``repro serve --warm zoo`` enqueues the whole zoo x platform x batch grid and
@@ -20,8 +20,9 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
+
+from repro.api import SelectionRequest, Session
 
 #: Executor kinds accepted by :func:`executor` and :class:`WarmingQueue`.
 EXECUTOR_KINDS = ("serial", "thread", "process")
@@ -69,18 +70,6 @@ def executor(kind: str = "thread", max_workers: Optional[int] = None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WarmJob:
-    """One (model, platform, strategy, threads, batch, dtype) combination to warm."""
-
-    model: str
-    platform: str
-    strategy: str = "pbqp"
-    threads: int = 1
-    batch: int = 1
-    dtype: str = "fp32"
-
-
 def grid_jobs(
     models: Optional[Sequence[str]] = None,
     platforms: Optional[Sequence[str]] = None,
@@ -88,7 +77,7 @@ def grid_jobs(
     threads: Sequence[int] = (1,),
     batches: Sequence[int] = (1,),
     dtypes: Sequence[str] = ("fp32",),
-) -> List[WarmJob]:
+) -> List[SelectionRequest]:
     """The zoo x platform x strategy x threads x batch x dtype warming grid.
 
     ``models`` defaults to the whole model zoo and ``platforms`` to every
@@ -103,7 +92,7 @@ def grid_jobs(
         list(platforms) if platforms is not None else list_platforms()
     )
     return [
-        WarmJob(model, platform, strategy, thread_count, batch, dtype)
+        SelectionRequest(model, platform, strategy, thread_count, batch, dtype)
         for model in chosen_models
         for platform in chosen_platforms
         for strategy in strategies
@@ -113,56 +102,21 @@ def grid_jobs(
     ]
 
 
-def warm_store_entry(
-    cache_dir: str,
-    model: str,
-    platform: str,
-    threads: int = 1,
-    batch: int = 1,
-    dtype: str = "fp32",
-) -> str:
-    """Populate one cost-store entry from a *worker process*.
-
-    Module-level (hence picklable) so a ``"process"`` executor can warm the
-    shared disk tier in true parallel: each worker builds its own session
-    over the same store directory, produces the tables, and exits.  Returns
-    the store key digest for logging.
-    """
-    from repro.api import Session
-
-    session = Session(cache_dir=cache_dir)
-    context = session.context_for(model, platform, threads=threads, batch=batch, dtype=dtype)
-    store = session.store
-    assert store is not None  # Session(cache_dir=...) always wraps a store
-    del context
-    return f"{model}@{platform}/{threads}t/b{batch}/{dtype}"
-
-
-def warm_plan_job(cache_dir: str, job: WarmJob) -> str:
-    """Plan one warm job in a *worker process*, persisting the response document.
+def warm_plan_job(cache_dir: str, request: SelectionRequest) -> str:
+    """Plan one request in a *worker process*, persisting the response document.
 
     Module-level (hence picklable) so a ``"process"`` warming executor can
     solve in true parallel: the worker builds its own session over the shared
     ``cache_dir``, plans (populating the cost store as a side effect), and
     writes the finished plan document into the disk document tier — which the
-    daemon consults on a :class:`~repro.service.app.DocumentCache` miss, so a
+    daemon consults on a :class:`~repro.api.DocumentCache` miss, so a
     process-warmed combination is served with zero solves in the daemon
     process.  Returns the document path for logging.
     """
-    from repro.api import Session
     from repro.service.app import build_plan_document, write_plan_document
 
-    session = Session(cache_dir=cache_dir)
-    document = build_plan_document(
-        session,
-        job.model,
-        job.platform,
-        strategy=job.strategy,
-        threads=job.threads,
-        batch=job.batch,
-        dtype=job.dtype,
-    )
-    return write_plan_document(cache_dir, document, job)
+    document = build_plan_document(Session(cache_dir=cache_dir), request)
+    return write_plan_document(cache_dir, document, request)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +125,7 @@ def warm_plan_job(cache_dir: str, job: WarmJob) -> str:
 
 
 class WarmingQueue:
-    """A background queue of :class:`WarmJob` drained through an executor.
+    """A background queue of plan requests drained through an executor.
 
     Parameters
     ----------
@@ -191,7 +145,7 @@ class WarmingQueue:
 
     def __init__(
         self,
-        run_job: Callable[[WarmJob], object],
+        run_job: Callable[[SelectionRequest], object],
         metrics=None,
         kind: str = "thread",
         max_workers: Optional[int] = None,
@@ -206,7 +160,7 @@ class WarmingQueue:
         self.max_workers = max_workers
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        self._jobs: List[WarmJob] = []
+        self._jobs: List[SelectionRequest] = []
         self._pending = 0
         self._completed = 0
         self._failed = 0
@@ -216,7 +170,7 @@ class WarmingQueue:
 
     # -- public API --------------------------------------------------------------
 
-    def enqueue(self, jobs: Iterable[WarmJob]) -> int:
+    def enqueue(self, jobs: Iterable[SelectionRequest]) -> int:
         """Add jobs and ensure the dispatcher is running; returns the count."""
         added = list(jobs)
         with self._lock:

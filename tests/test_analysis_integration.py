@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.analysis.plan_verifier import PlanVerificationError, verify_document
-from repro.api import Session
+from repro.api import SelectionRequest, Session
 from repro.cli import main
 from repro.core.strategies import STRATEGIES, Strategy, get_strategy
 from repro.cost.serialize import (
@@ -26,7 +26,6 @@ from repro.service.app import (
     read_plan_document,
     write_plan_document,
 )
-from repro.service.workers import WarmJob
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +110,14 @@ def test_validate_endpoint(session, plan_doc):
 
 def test_corrupt_disk_document_is_rejected_and_replaced(tmp_path):
     app = PlannerApp(session=Session(), cache_dir=str(tmp_path))
-    job = WarmJob(model="alexnet", platform="intel-haswell")
-    document = build_plan_document(app.session, "alexnet", "intel-haswell")
+    request = SelectionRequest("alexnet", "intel-haswell")
+    document = build_plan_document(app.session, request)
     corrupt = copy.deepcopy(document)
     corrupt["total_ms"] += 7.0
     corrupt["plan"]["total_ms"] += 7.0
-    write_plan_document(str(tmp_path), corrupt, job)
+    write_plan_document(str(tmp_path), corrupt, request)
 
-    served, cached = app.plan_document("alexnet", "intel-haswell")
+    served, cached = app.plan_document(request)
     assert not cached
     counters = app.metrics.snapshot()["counters"]
     assert counters.get("plan_disk_invalid") == 1
@@ -126,17 +125,17 @@ def test_corrupt_disk_document_is_rejected_and_replaced(tmp_path):
     assert served["total_ms"] == pytest.approx(document["total_ms"])
 
     # The fresh solve overwrote the poisoned file: a restart now disk-hits.
-    on_disk = read_plan_document(str(tmp_path), job)
-    assert verify_document(on_disk, source=plan_document_path(str(tmp_path), job)).ok
+    on_disk = read_plan_document(str(tmp_path), request)
+    assert verify_document(on_disk, source=plan_document_path(str(tmp_path), request)).ok
 
 
 def test_valid_disk_document_is_served(tmp_path):
     app = PlannerApp(session=Session(), cache_dir=str(tmp_path))
-    job = WarmJob(model="alexnet", platform="intel-haswell")
-    document = build_plan_document(app.session, "alexnet", "intel-haswell")
-    write_plan_document(str(tmp_path), document, job)
+    request = SelectionRequest("alexnet", "intel-haswell")
+    document = build_plan_document(app.session, request)
+    write_plan_document(str(tmp_path), document, request)
 
-    served, _ = app.plan_document("alexnet", "intel-haswell")
+    served, _ = app.plan_document(request)
     counters = app.metrics.snapshot()["counters"]
     assert counters.get("plan_disk_hits") == 1
     assert "plan_disk_invalid" not in counters

@@ -26,7 +26,7 @@ from repro.analysis.plan_verifier import (
     raise_for_report,
     verify_document,
 )
-from repro.api import Session
+from repro.api import SelectionRequest, Session
 from repro.cost.serialize import cost_tables_to_dict, plan_to_dict
 from repro.service.app import build_plan_document
 
@@ -318,7 +318,7 @@ def test_result_envelope_mutation(session):
 
 
 def test_service_plan_envelope_mutation(session):
-    doc = build_plan_document(session, "alexnet", "intel-haswell")
+    doc = build_plan_document(session, SelectionRequest("alexnet", "intel-haswell"))
     assert verify_document(doc).ok
 
     bad = copy.deepcopy(doc)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cost.store import CostStore
 from repro.core.baselines import sum2d_plan
 from repro.core.selector import PBQPSelector, SelectionContext
 from repro.cost.serialize import (
@@ -150,6 +151,38 @@ class TestCLI:
         assert main(["compare", "alexnet", "--threads", "1"]) == 0
         out = capsys.readouterr().out
         assert "pbqp" in out and "best strategy" in out
+
+    @pytest.mark.parametrize(
+        "command, header",
+        [
+            ("select", "(1 thread, batch 2, int8)"),
+            ("run", "(1 thread, batch 2)"),
+            ("compare", "1 thread, batch 2, int8"),
+            ("frontier", "(1 thread, batch 2, seed 0)"),
+        ],
+    )
+    def test_selection_arguments_reach_the_session(self, command, header, tmp_path, capsys):
+        """``--batch`` (all four) and ``--dtype`` (all but frontier) are honoured."""
+        takes_dtype = command != "frontier"
+        store_dir = tmp_path / "store"
+        argv = [command, "alexnet", "--batch", "2", "--cache-dir", str(store_dir)]
+        if takes_dtype:
+            argv += ["--dtype", "int8"]
+        if command == "select":
+            argv += ["--schedule", "--save", str(tmp_path / "plan.json")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert header in out.splitlines()[0]
+        # Every cost-table set the subcommand priced carries the requested values.
+        keys = [entry.key for entry in CostStore(store_dir).entries()]
+        assert keys and {key.batch for key in keys} == {2}
+        if takes_dtype:
+            assert {key.dtype for key in keys} == {"int8"}
+        if command == "select":
+            saved = json.loads((tmp_path / "plan.json").read_text())
+            assert (saved["batch"], saved["dtype"]) == (2, "int8")
+            assert "// schedule for alexnet [pbqp] on intel-haswell" in out
+            assert "convolution  conv1" in out
 
     def test_tables_command(self, capsys):
         assert main(["tables", "--platform", "arm-cortex-a57"]) == 0

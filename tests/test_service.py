@@ -9,25 +9,33 @@ direct :meth:`Session.plan` calls, and warm requests perform zero PBQP solves
 """
 
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import Session
+from repro.api import SelectionRequest, Session
 from repro.cost.serialize import plan_to_dict
 from repro.pbqp.solver import solve_count
 from repro.service import (
     PlannerApp,
     PlannerClient,
     ServiceError,
-    WarmJob,
     WarmingQueue,
     executor,
     grid_jobs,
     make_server,
 )
-from repro.service.app import Field, ValidationError, validate_body
+from repro.service.app import (
+    Field,
+    ValidationError,
+    build_plan_document,
+    plan_document_path,
+    read_plan_document,
+    validate_body,
+    write_plan_document,
+)
 from repro.service.metrics import LatencyHistogram, Metrics, labelled, quantile
 
 MODELS = ("alexnet", "resnet18")
@@ -329,7 +337,7 @@ class TestWarming:
             state = app.warming.state()
             assert state["completed"] == 2 and state["failed"] == 0
             before = solve_count()
-            document, cached = app.plan_document("alexnet", "intel-haswell")
+            document, cached = app.plan_document(SelectionRequest("alexnet", "intel-haswell"))
             assert cached is True and solve_count() == before
         finally:
             app.close()
@@ -345,7 +353,12 @@ class TestWarming:
 
         queue = WarmingQueue(run, metrics=metrics, kind="serial")
         try:
-            queue.enqueue([WarmJob("good", "intel-haswell"), WarmJob("bad", "intel-haswell")])
+            queue.enqueue(
+                [
+                    SelectionRequest("good", "intel-haswell"),
+                    SelectionRequest("bad", "intel-haswell"),
+                ]
+            )
             assert queue.join(timeout=30)
             state = queue.state()
             assert state["completed"] == 1 and state["failed"] == 1
@@ -362,7 +375,7 @@ class TestWarming:
         jobs = grid_jobs(batches=(1, 4))
         assert len(jobs) == len(MODEL_BUILDERS) * len(list_platforms()) * 2
         jobs = grid_jobs(models=["alexnet"], platforms=["gpu-sim"])
-        assert jobs == [WarmJob("alexnet", "gpu-sim")]
+        assert jobs == [SelectionRequest("alexnet", "gpu-sim")]
 
     def test_executor_kinds(self):
         with executor("serial") as pool:
@@ -380,16 +393,17 @@ class TestWarming:
 
     def test_process_executor_warms_a_store(self, tmp_path):
         from repro.cost.store import CostStore
-        from repro.service.workers import warm_store_entry
+        from repro.service.workers import warm_plan_job
 
+        request = SelectionRequest("alexnet", "intel-haswell")
         with executor("process", max_workers=2) as pool:
-            future = pool.submit(
-                warm_store_entry, str(tmp_path), "alexnet", "intel-haswell"
-            )
-            assert future.result(timeout=300) == "alexnet@intel-haswell/1t/b1/fp32"
-        # The worker process persisted the tables into the shared store tier.
-        store = CostStore(tmp_path)
-        assert store.stats().entries == 1
+            future = pool.submit(warm_plan_job, str(tmp_path), request)
+            assert future.result(timeout=300) == plan_document_path(str(tmp_path), request)
+        # The worker process persisted the tables into the shared store tier
+        # and the finished response document into the plan tier.
+        assert len(CostStore(tmp_path).entries()) == 1
+        document = read_plan_document(str(tmp_path), request)
+        assert document is not None and document["model"] == "alexnet"
 
 
 class TestDiskDocumentTier:
@@ -443,33 +457,67 @@ class TestDiskDocumentTier:
     def test_daemon_writes_documents_through_to_the_tier(self, tmp_path):
         first = PlannerApp(cache_dir=str(tmp_path))
         try:
-            first.plan_document("alexnet", "intel-haswell", dtype="fp16")
+            first.plan_document(SelectionRequest("alexnet", "intel-haswell", dtype="fp16"))
         finally:
             first.close()
         second = PlannerApp(cache_dir=str(tmp_path))
         try:
             before = solve_count()
             document, cached = second.plan_document(
-                "alexnet", "intel-haswell", dtype="fp16"
+                SelectionRequest("alexnet", "intel-haswell", dtype="fp16")
             )
             assert solve_count() == before and cached is False
             assert document["dtype"] == "fp16"
         finally:
             second.close()
 
+    def test_plan_document_file_name_is_stable(self, tmp_path):
+        """Already-warmed ``plans/`` directories only disk-hit under this name."""
+        path = plan_document_path(str(tmp_path), SelectionRequest("alexnet", "intel-haswell"))
+        assert path == os.path.join(
+            str(tmp_path), "plans", "alexnet_intel-haswell_pbqp_1t_b1_fp32.json"
+        )
+
+    def test_concurrent_writes_of_one_document_never_tear(self, tmp_path):
+        """Regression: per-call unique temp names for the plan tier's write-then-rename.
+
+        A pid-suffixed temp name is shared by every thread of one process, so
+        concurrent writers of one document renamed each other's temp file away
+        (``FileNotFoundError`` from the rename) or renamed a torn document.
+        """
+        request = SelectionRequest("alexnet", "intel-haswell")
+        document = build_plan_document(Session(), request)
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def write():
+            try:
+                barrier.wait()
+                for _ in range(20):
+                    write_plan_document(str(tmp_path), document, request)
+            except Exception as exc:  # pragma: no cover - the failure signal
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        # The document parses (no torn write) and no temp litter is left behind.
+        path = plan_document_path(str(tmp_path), request)
+        assert read_plan_document(str(tmp_path), request) == document
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+
     def test_corrupt_tier_entry_is_a_miss_not_an_error(self, tmp_path):
-        from repro.service.app import plan_document_path
-        from repro.service.workers import WarmJob
-
-        path = plan_document_path(str(tmp_path), WarmJob("alexnet", "intel-haswell"))
-        import os
-
+        request = SelectionRequest("alexnet", "intel-haswell")
+        path = plan_document_path(str(tmp_path), request)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w") as handle:
             handle.write("{not json")
         app = PlannerApp(cache_dir=str(tmp_path))
         try:
-            document, _ = app.plan_document("alexnet", "intel-haswell")
+            document, _ = app.plan_document(request)
             assert document["model"] == "alexnet"  # rebuilt and overwritten
         finally:
             app.close()
