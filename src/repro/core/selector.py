@@ -31,6 +31,16 @@ minimizes then equals the cost the executor pays, mixed-target fan-outs
 included, and the auxiliary node folds away under the ordinary R1/R2
 reductions (the aux simply takes over the producer's adjacency), so the
 solver stays exact on the paper's graphs.
+
+The encoder works on arrays, not cells.  Each encode lays every tensor
+shape's chain costs out as one dense ``(L x L)`` matrix in dt-graph layout
+order, and records once per layer which layout each alternative consumes and
+produces as index arrays.  An edge matrix is then one gather of that dense
+matrix.  A conversion node's chain costs gather the producer's rows at each
+subset's target columns and add them in subset order (``0 + c0 + c1 + ...``,
+the same additions as a scalar ``sum()``), and its compatibility matrices
+are an ``inf`` mask over one subset-by-layout incidence matrix.  The result
+is bit-identical to filling every cell from ``tables.dt_costs``.
 """
 
 from __future__ import annotations
@@ -38,14 +48,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.legalize import finalize_plan
 from repro.core.plan import NetworkPlan
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.model import CostModel
 from repro.cost.platform import Platform
-from repro.cost.tables import CostTables, build_cost_tables
+from repro.cost.tables import CostTables, Shape, build_cost_tables
 from repro.graph.layer import LayerKind
 from repro.graph.network import Network
 from repro.layouts.dt_graph import DTGraph
@@ -178,6 +190,75 @@ class SelectionContext:
         )
 
 
+def _dense_dt_costs(
+    dt_costs: Dict[Shape, Dict[Tuple[str, str], float]], names: Sequence[str]
+) -> Dict[Shape, np.ndarray]:
+    """One dense ``(L x L)`` chain-cost matrix per tensor shape.
+
+    Rows and columns follow ``names`` (the dt-graph layout order), so an edge
+    matrix is a plain gather of the rows its producer can emit and the
+    columns its consumer can accept.
+    """
+    pairs = [(source, target) for source in names for target in names]
+    return {
+        shape: np.array([costs[pair] for pair in pairs]).reshape(len(names), len(names))
+        for shape, costs in dt_costs.items()
+    }
+
+
+def _add_fanout_conversion_node(
+    graph: PBQPGraph,
+    producer: str,
+    producer_id: int,
+    targets: Sequence[str],
+    chain_rows: np.ndarray,
+    consumers: Sequence[Tuple[int, np.ndarray]],
+) -> None:
+    """Price a fan-out producer's conversions once per distinct target layout.
+
+    The auxiliary node's alternatives are the candidate *sets* of target
+    layouts (every non-empty subset, up to the fan-out width, of the
+    ``targets`` some consumer can demand).  ``chain_rows`` holds the dt-graph
+    chain cost from each producer alternative to each target.  The
+    producer->aux matrix charges the chain cost of each layout in the set
+    exactly once — the executor's deduplicated cost — and each aux->consumer
+    matrix is 0 where the set covers the consumer's demanded input layout and
+    infinite where it does not, so a minimizing assignment picks exactly the
+    distinct targets the consumers chose.  ``consumers`` pairs each
+    consumer's node id with the target column of each of its alternatives.
+    """
+    # A set of k consumers demands at most k distinct layouts, so larger
+    # subsets are never selectable and need not be encoded.
+    blocks = [
+        np.array(list(itertools.combinations(range(len(targets)), size)), dtype=np.intp)
+        for size in range(1, min(len(consumers), len(targets)) + 1)
+    ]
+    labels = [
+        "+".join(combo)
+        for size in range(1, len(blocks) + 1)
+        for combo in itertools.combinations(targets, size)
+    ]
+    incidence = np.zeros((len(labels), len(targets)), dtype=bool)
+    chain_blocks = []
+    offset = 0
+    for block in blocks:
+        # 0 + c0 + c1 + ...: the same additions, in the same order, as
+        # ``sum()`` over the set, so the costs are bit-identical to it.
+        costs = np.zeros((chain_rows.shape[0], len(block)))
+        for column in block.T:
+            costs += chain_rows[:, column]
+        chain_blocks.append(costs)
+        incidence[np.arange(offset, offset + len(block))[:, None], block] = True
+        offset += len(block)
+
+    aux_id = graph.add_node(
+        np.zeros(len(labels)), name=f"{producer}::conversions", labels=labels
+    )
+    graph.add_edge(producer_id, aux_id, np.hstack(chain_blocks))
+    for consumer_id, columns in consumers:
+        graph.add_edge(aux_id, consumer_id, np.where(incidence[:, columns], 0.0, math.inf))
+
+
 class PBQPSelector:
     """Encode primitive selection as PBQP, solve it, and emit a plan."""
 
@@ -193,24 +274,41 @@ class PBQPSelector:
         """
         network = context.network
         tables = context.tables
-        layouts = context.dt_graph.layouts
+        names = context.dt_graph.layout_names
+        position = {name: index for index, name in enumerate(names)}
+        dense = _dense_dt_costs(tables.dt_costs, names)
 
         graph = PBQPGraph()
         node_of_layer: Dict[str, int] = {}
         id_to_layer: Dict[int, str] = {}
+        # Dt-graph positions of the layout each alternative consumes / produces.
+        in_index: Dict[str, np.ndarray] = {}
+        out_index: Dict[str, np.ndarray] = {}
+        every_layout = np.arange(len(names))
 
         for layer in network.topological_order():
             if layer.is_convolution:
                 costs = tables.node_costs[layer.name]
                 labels = sorted(costs)
                 vector = [costs[name] for name in labels]
+                primitives = [context.library.get(name) for name in labels]
+                in_index[layer.name] = np.array(
+                    [position[p.input_layout.name] for p in primitives], dtype=np.intp
+                )
+                out_index[layer.name] = np.array(
+                    [position[p.output_layout.name] for p in primitives], dtype=np.intp
+                )
             elif layer.kind is LayerKind.INPUT:
                 # The network input arrives in the canonical layout.
                 labels = [CHW.name]
                 vector = [0.0]
+                in_index[layer.name] = out_index[layer.name] = np.array(
+                    [position[CHW.name]], dtype=np.intp
+                )
             else:
-                labels = [layout.name for layout in layouts]
+                labels = names
                 vector = [0.0] * len(labels)
+                in_index[layer.name] = out_index[layer.name] = every_layout
             node_id = graph.add_node(vector, name=layer.name, labels=labels)
             node_of_layer[layer.name] = node_id
             id_to_layer[node_id] = layer.name
@@ -218,101 +316,32 @@ class PBQPSelector:
         for edge in network.edges():
             if len(network.consumers_of(edge.producer)) >= 2:
                 continue  # priced once through the producer's conversion node below
-            producer = network.layer(edge.producer)
-            consumer = network.layer(edge.consumer)
-            shape = tables.shapes[edge.producer]
-            out_layouts = self._alternative_layouts(context, producer, output=True)
-            in_layouts = self._alternative_layouts(context, consumer, output=False)
-            matrix = [
-                [
-                    tables.dt_costs[shape][(src.name, dst.name)]
-                    for dst in in_layouts
-                ]
-                for src in out_layouts
+            matrix = dense[tables.shapes[edge.producer]][
+                np.ix_(out_index[edge.producer], in_index[edge.consumer])
             ]
             graph.add_edge(node_of_layer[edge.producer], node_of_layer[edge.consumer], matrix)
 
         for layer in network.topological_order():
             consumers = network.consumers_of(layer.name)
-            if len(consumers) >= 2:
-                self._add_fanout_conversion_node(
-                    context, graph, node_of_layer, layer, consumers
-                )
+            if len(consumers) < 2:
+                continue
+            # A fan-out producer's candidate targets: every layout some
+            # consumer can demand, in name order.
+            demanded = sorted(
+                {int(i) for name in consumers for i in in_index[name]}, key=names.__getitem__
+            )
+            column = np.empty(len(names), dtype=np.intp)
+            column[demanded] = np.arange(len(demanded))
+            _add_fanout_conversion_node(
+                graph,
+                layer.name,
+                node_of_layer[layer.name],
+                [names[i] for i in demanded],
+                dense[tables.shapes[layer.name]][np.ix_(out_index[layer.name], demanded)],
+                [(node_of_layer[name], column[in_index[name]]) for name in consumers],
+            )
 
         return graph, id_to_layer
-
-    def _add_fanout_conversion_node(
-        self,
-        context: SelectionContext,
-        graph: PBQPGraph,
-        node_of_layer: Dict[str, int],
-        producer,
-        consumers: Sequence[str],
-    ) -> None:
-        """Price a fan-out producer's conversions once per distinct target layout.
-
-        The auxiliary node's alternatives are the candidate *sets* of target
-        layouts (every non-empty subset, up to the fan-out width, of the
-        layouts some consumer can demand).  The producer→aux matrix charges
-        the dt-graph chain cost of each layout in the set exactly once — the
-        executor's deduplicated cost — and each aux→consumer matrix is 0
-        where the set covers the consumer's demanded input layout and
-        infinite where it does not, so a minimizing assignment picks exactly
-        the distinct targets the consumers chose.
-        """
-        tables = context.tables
-        network = context.network
-        shape = tables.shapes[producer.name]
-        out_layouts = self._alternative_layouts(context, producer, output=True)
-        consumer_in_layouts = {
-            name: self._alternative_layouts(context, network.layer(name), output=False)
-            for name in consumers
-        }
-        targets = sorted(
-            {layout.name for layouts in consumer_in_layouts.values() for layout in layouts}
-        )
-        # A set of k consumers demands at most k distinct layouts, so larger
-        # subsets are never selectable and need not be encoded.
-        subsets = [
-            combo
-            for size in range(1, min(len(consumers), len(targets)) + 1)
-            for combo in itertools.combinations(targets, size)
-        ]
-        aux_id = graph.add_node(
-            [0.0] * len(subsets),
-            name=f"{producer.name}::conversions",
-            labels=["+".join(combo) for combo in subsets],
-        )
-        chain_costs = [
-            [
-                sum(tables.dt_costs[shape][(src.name, dst)] for dst in combo)
-                for combo in subsets
-            ]
-            for src in out_layouts
-        ]
-        graph.add_edge(node_of_layer[producer.name], aux_id, chain_costs)
-        covered = [frozenset(combo) for combo in subsets]
-        for name in consumers:
-            compatibility = [
-                [
-                    0.0 if layout.name in cover else math.inf
-                    for layout in consumer_in_layouts[name]
-                ]
-                for cover in covered
-            ]
-            graph.add_edge(aux_id, node_of_layer[name], compatibility)
-
-    def _alternative_layouts(
-        self, context: SelectionContext, layer, output: bool
-    ) -> List[Layout]:
-        """The layout implied by each alternative of a layer's PBQP node."""
-        if layer.is_convolution:
-            labels = sorted(context.tables.node_costs[layer.name])
-            primitives = [context.library.get(name) for name in labels]
-            return [p.output_layout if output else p.input_layout for p in primitives]
-        if layer.kind is LayerKind.INPUT:
-            return [CHW]
-        return context.dt_graph.layouts
 
     # -- solving ---------------------------------------------------------------------
 

@@ -54,6 +54,11 @@ PathLike = Union[str, Path]
 #: of being half-parsed, and older checkouts reject v5 documents outright.
 STORE_ENTRY_FORMAT = "repro/cost-store-entry/v5"
 
+#: Subdirectory of a cache dir holding the planning service's persisted plan
+#: documents (:mod:`repro.service.app`).  It sits beside the per-platform
+#: shards but holds no store entries, so the store's listing skips it.
+PLAN_DOCUMENT_DIR = "plans"
+
 
 @dataclass(frozen=True)
 class StoreKey:
@@ -295,14 +300,21 @@ class CostStore:
     # -- management ---------------------------------------------------------------
 
     def _entry_files(self) -> List[Path]:
-        """Every ``*.json`` file in the cache directory, parseable or not.
+        """Every store ``*.json`` file in the cache directory, parseable or not.
 
         Covers both the per-platform shard subdirectories and legacy flat
         entries written before sharding (which simply miss and are cleaned by
-        :meth:`clear` / :meth:`evict` like any other stale file).
+        :meth:`clear` / :meth:`evict` like any other stale file).  The plan
+        documents under :data:`PLAN_DOCUMENT_DIR` are not store entries and
+        are not listed.
         """
         return sorted(
-            list(self.cache_dir.glob("*.json")) + list(self.cache_dir.glob("*/*.json"))
+            list(self.cache_dir.glob("*.json"))
+            + [
+                path
+                for path in self.cache_dir.glob("*/*.json")
+                if path.parent.name != PLAN_DOCUMENT_DIR
+            ]
         )
 
     def entries(self) -> List[StoreEntry]:
@@ -331,11 +343,15 @@ class CostStore:
         unparseable or old-format documents: after a format-version bump (or
         a crash that left junk behind) those stale files must still be
         removed, otherwise the directory stays dirty and the reported count
-        is wrong.  Leftover write-temporaries (``.*.tmp``) are removed too,
-        but only entry files count toward the return value.
+        is wrong.  The service's plan documents under
+        :data:`PLAN_DOCUMENT_DIR` are wiped (and counted) too: they were
+        planned from the tables being cleared.  Leftover write-temporaries
+        (``.*.tmp``) are removed as well, but only ``*.json`` files count
+        toward the return value.
         """
         removed = 0
-        for path in self._entry_files():
+        plan_documents = sorted((self.cache_dir / PLAN_DOCUMENT_DIR).glob("*.json"))
+        for path in self._entry_files() + plan_documents:
             path.unlink(missing_ok=True)
             removed += 1
         for pattern in (".*.tmp", "*/.*.tmp"):

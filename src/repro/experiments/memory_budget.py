@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.plan import NetworkPlan
 from repro.cost.platform import list_platforms
-from repro.multiobj.frontier import solve_under_workspace_cap
+from repro.multiobj.frontier import solve_under_workspace_caps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import ModelLike, Session
@@ -182,9 +182,9 @@ def run_memory_budget(
             result.baselines[(network_name, platform)] = base
             base_families = families(base)
             peak = base.peak_workspace_bytes
-            for fraction in fractions:
-                cap = fraction * peak
-                plan = solve_under_workspace_cap(context, cap)
+            caps = [fraction * peak for fraction in fractions]
+            plans = solve_under_workspace_caps(context, caps)
+            for fraction, cap, plan in zip(fractions, caps, plans):
                 flips: Dict[str, Tuple[str, str]] = {}
                 if plan is not None:
                     for layer, family in families(plan).items():

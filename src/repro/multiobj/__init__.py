@@ -25,6 +25,7 @@ _FRONTIER_NAMES = (
     "FrontierPoint",
     "build_frontier",
     "solve_under_workspace_cap",
+    "solve_under_workspace_caps",
     "FRONTIER_FORMAT",
 )
 

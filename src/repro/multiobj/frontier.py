@@ -14,6 +14,8 @@ Candidate whole-network plans come from three generators, in priority order:
    pruning every primitive whose workspace exceeds a cap and re-running PBQP
    encodes a peak-workspace budget *exactly*; sweeping the cap over the
    distinct per-primitive workspace levels walks the time/memory trade-off.
+   The sweep encodes the context once and prunes by giving the primitives
+   above each cap an infinite node cost on a copy of that one instance.
 3. **Weighted scalarization solves** — PBQP over normalized weighted sums of
    the three objectives.  Approximate for the max-type memory objective (a
    sum of per-layer workspaces is not the peak), so these are candidate
@@ -32,10 +34,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.legalize import finalize_plan
 from repro.core.plan import NetworkPlan
@@ -51,6 +56,7 @@ from repro.multiobj.pareto import (
     min_time_under_index,
 )
 from repro.multiobj.vector import OBJECTIVES, CostVector
+from repro.pbqp.graph import PBQPGraph
 
 FRONTIER_FORMAT = "repro/frontier/v1"
 
@@ -280,17 +286,19 @@ class Frontier:
 # ---------------------------------------------------------------------------
 
 
-def _steered_plan(
-    context: SelectionContext, steering: CostTables, generator: str
+def _solved_plan(
+    context: SelectionContext,
+    selector: PBQPSelector,
+    graph: PBQPGraph,
+    id_to_layer: Dict[int, str],
+    generator: str,
 ) -> NetworkPlan:
-    """Solve PBQP over ``steering`` tables, finalize against the context's own.
+    """Solve a steering instance, finalize its decisions against the context.
 
-    The steering tables (gated or scalarized costs) direct the search; the
-    returned plan's decisions are re-priced from the true tables so its cost
+    The instance (masked or scalarized costs) directs the search; the returned
+    plan's decisions are re-priced from the context's true tables so its cost
     vector is exact.
     """
-    selector = PBQPSelector()
-    graph, id_to_layer = selector.build_pbqp(dataclasses.replace(context, tables=steering))
     solution = selector.solver.solve(graph)
     plan = finalize_plan(
         context, "frontier", *selector.decode(context, graph, id_to_layer, solution)
@@ -299,25 +307,19 @@ def _steered_plan(
     return plan
 
 
-def _workspace_gated_tables(context: SelectionContext, cap_bytes: float):
-    """Tables with every primitive above the per-layer workspace cap pruned.
+def _workspace_floor(tables: CostTables) -> float:
+    """The lowest achievable peak workspace.
 
-    Returns ``None`` when some layer would lose all of its primitives — the
-    cap is below that layer's lowest-workspace alternative, so the PBQP
-    instance is infeasible.
+    Every layer takes its smallest-workspace primitive; a cap below this
+    leaves some layer with no primitive that fits.
     """
-    tables = context.tables
-    gated: Dict[str, Dict[str, float]] = {}
-    for layer, costs in tables.node_costs.items():
-        keep = {
-            name: cost
-            for name, cost in costs.items()
-            if tables.primitive_workspace(layer, name) <= cap_bytes
-        }
-        if not keep:
-            return None
-        gated[layer] = keep
-    return dataclasses.replace(tables, node_costs=gated)
+    return max(
+        (
+            min(tables.primitive_workspace(layer, name) for name in costs)
+            for layer, costs in tables.node_costs.items()
+        ),
+        default=0.0,
+    )
 
 
 def _scalarized_tables(
@@ -390,12 +392,7 @@ def workspace_levels(context: SelectionContext) -> List[float]:
     changes.
     """
     tables = context.tables
-    floor = max(
-        min(
-            tables.primitive_workspace(layer, name) for name in costs
-        )
-        for layer, costs in tables.node_costs.items()
-    )
+    floor = _workspace_floor(tables)
     distinct = {
         tables.primitive_workspace(layer, name)
         for layer, costs in tables.node_costs.items()
@@ -404,20 +401,52 @@ def workspace_levels(context: SelectionContext) -> List[float]:
     return sorted({floor} | {value for value in distinct if value >= floor})
 
 
+def solve_under_workspace_caps(
+    context: SelectionContext, caps: Sequence[float]
+) -> List[Optional[NetworkPlan]]:
+    """The fastest plan whose peak workspace stays at or under each cap.
+
+    One epsilon-constraint solve per cap, all from one encoding of the
+    context: each cap copies the instance with every primitive above it
+    given an infinite node cost, which prunes it exactly as removing it would
+    (peak workspace is a max over layers).  A cap's entry is ``None`` when it
+    is infeasible — some layer has no primitive that fits.
+    """
+    tables = context.tables
+    floor = _workspace_floor(tables)
+    selector = PBQPSelector()
+    graph, id_to_layer = selector.build_pbqp(context)
+    # Peak workspace of every alternative of every convolution node.
+    workspaces = {
+        node_id: np.array(
+            [
+                tables.primitive_workspace(layer, graph.node(node_id).label_of(index))
+                for index in range(graph.node(node_id).degree_of_freedom)
+            ]
+        )
+        for node_id, layer in id_to_layer.items()
+        if layer in tables.node_costs
+    }
+    plans: List[Optional[NetworkPlan]] = []
+    for cap in caps:
+        if cap < floor:
+            plans.append(None)
+            continue
+        masked = graph.copy()
+        for node_id, workspace in workspaces.items():
+            masked.node(node_id).costs[workspace > cap] = math.inf
+        plans.append(
+            _solved_plan(context, selector, masked, id_to_layer, f"cap:{int(cap)}")
+        )
+    return plans
+
+
 def solve_under_workspace_cap(
     context: SelectionContext, cap_bytes: float
 ) -> Optional[NetworkPlan]:
-    """The fastest plan whose peak workspace stays at or under ``cap_bytes``.
-
-    One epsilon-constraint solve: primitives above the per-layer cap are
-    pruned and PBQP runs on the gated tables (exact, because peak workspace
-    is a max over layers).  Returns ``None`` when the cap is infeasible —
-    some layer has no primitive that fits.
-    """
-    gated = _workspace_gated_tables(context, cap_bytes)
-    if gated is None:
-        return None
-    return _steered_plan(context, gated, f"cap:{int(cap_bytes)}")
+    """The fastest plan under one cap (``None`` when infeasible); see
+    :func:`solve_under_workspace_caps`."""
+    return solve_under_workspace_caps(context, [cap_bytes])[0]
 
 
 def _plan_signature(plan: NetworkPlan) -> tuple:
@@ -493,17 +522,16 @@ def build_frontier(
     budget = constraints.get("peak_workspace_bytes_max")
     if budget is not None:
         caps.append(float(budget))
-    for cap in caps:
-        plan = solve_under_workspace_cap(context, cap)
+    for cap, plan in zip(caps, solve_under_workspace_caps(context, caps)):
         if plan is not None:
             candidates.append((plan, f"cap:{int(cap)}"))
 
     # 3. Weighted scalarization solves.
     for weights in scalarization_weights:
         label = "weights:" + "/".join(f"{w:g}" for w in weights)
-        candidates.append(
-            (_steered_plan(context, _scalarized_tables(context, weights), label), label)
-        )
+        steering = dataclasses.replace(context, tables=_scalarized_tables(context, weights))
+        graph, id_to_layer = selector.build_pbqp(steering)
+        candidates.append((_solved_plan(context, selector, graph, id_to_layer, label), label))
 
     # Deduplicate by decision signature (first generator wins) and evaluate
     # every surviving candidate exactly.

@@ -36,6 +36,9 @@ class PBQPNode:
     labels:
         Optional human-readable names of the alternatives (primitive names in
         our encoding); if given, must have the same length as ``costs``.
+
+    A node adopts the cost array it is given (the solver's reductions update
+    it in place); :class:`PBQPGraph` hands every node a private copy.
     """
 
     node_id: int
@@ -44,7 +47,7 @@ class PBQPNode:
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        self.costs = np.asarray(self.costs, dtype=float).copy()
+        self.costs = np.asarray(self.costs, dtype=float)
         if self.costs.ndim != 1 or self.costs.size == 0:
             raise ValueError(f"node {self.name!r} needs a non-empty 1D cost vector")
         if self.labels is not None and len(self.labels) != self.costs.size:
@@ -69,7 +72,8 @@ class PBQPEdge:
     """An undirected PBQP edge with its pairwise cost matrix.
 
     The matrix is stored oriented from ``u`` to ``v``: ``matrix[i, j]`` is the
-    cost of selecting alternative ``i`` at ``u`` and ``j`` at ``v``.
+    cost of selecting alternative ``i`` at ``u`` and ``j`` at ``v``.  Like
+    :class:`PBQPNode`, an edge adopts the array it is given.
     """
 
     u: int
@@ -77,7 +81,7 @@ class PBQPEdge:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float).copy()
+        self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2:
             raise ValueError("edge cost matrix must be 2D")
         if self.u == self.v:
@@ -122,7 +126,7 @@ class PBQPGraph:
         node = PBQPNode(
             node_id=node_id,
             name=name if name is not None else f"n{node_id}",
-            costs=np.asarray(costs, dtype=float),
+            costs=np.array(costs, dtype=float),
             labels=tuple(labels) if labels is not None else None,
         )
         self._nodes[node_id] = node
@@ -139,7 +143,7 @@ class PBQPGraph:
             raise KeyError(f"both endpoints must exist before adding edge ({u}, {v})")
         if u == v:
             raise ValueError("self edges are not allowed in PBQP")
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = np.array(matrix, dtype=float)
         expected = (self._nodes[u].degree_of_freedom, self._nodes[v].degree_of_freedom)
         if matrix.shape != expected:
             raise ValueError(

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from urllib.parse import urlsplit
 
 from repro.api import DocumentCache, SelectionRequest, Session
-from repro.cost.store import write_json_atomically
+from repro.cost.store import PLAN_DOCUMENT_DIR, write_json_atomically
 from repro.service.metrics import Metrics, labelled
 
 #: Format identifier carried by every successful response envelope.
@@ -167,9 +167,6 @@ def error_payload(code: str, message: str, **extra: Any) -> dict:
 # left open: a worker process can only hand results back through the disk, so
 # the daemon consults this tier on a document-cache miss *before* solving —
 # a process-warmed combination is then served with zero in-daemon solves.
-
-#: Subdirectory of the cache dir holding persisted plan documents.
-PLAN_DOCUMENT_DIR = "plans"
 
 
 def build_plan_document(session: Session, request: SelectionRequest) -> dict:

@@ -9,14 +9,21 @@ scratch-hungry families on multiple platforms.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.legalize import finalize_plan
 from repro.core.selector import PBQPSelector, SelectionContext
+from repro.cost.platform import PLATFORMS
+from repro.models import build_model
 from repro.multiobj.frontier import (
     FRONTIER_FORMAT,
     Frontier,
+    _plan_signature,
     build_frontier,
     solve_under_workspace_cap,
+    solve_under_workspace_caps,
     workspace_levels,
 )
 from repro.multiobj.pareto import (
@@ -216,6 +223,56 @@ class TestFrontier:
         under = frontier.min_time_under()
         assert under is not None
         assert under.vector.peak_workspace_bytes <= budget
+
+
+def gated_cap_plan(context, cap_bytes):
+    """The oracle: re-encode tables with every primitive above the cap removed.
+
+    ``None`` when some layer keeps no primitive (the cap is infeasible).
+    """
+    tables = context.tables
+    gated = {}
+    for layer, costs in tables.node_costs.items():
+        gated[layer] = {
+            name: cost
+            for name, cost in costs.items()
+            if tables.primitive_workspace(layer, name) <= cap_bytes
+        }
+        if not gated[layer]:
+            return None
+    steering = dataclasses.replace(context, tables=dataclasses.replace(tables, node_costs=gated))
+    selector = PBQPSelector()
+    graph, id_to_layer = selector.build_pbqp(steering)
+    solution = selector.solver.solve(graph)
+    return finalize_plan(
+        context, "frontier", *selector.decode(context, graph, id_to_layer, solution)
+    )
+
+
+class TestMaskedCapSweep:
+    """The cap sweep masks one encoding; gated tables re-encoded per cap agree."""
+
+    @pytest.mark.parametrize(
+        "model, platform",
+        [("resnet18", "intel-haswell"), ("mobilenet_v2", "arm-cortex-a57")],
+    )
+    def test_every_level_matches_gated_tables(self, library, dt_graph, model, platform):
+        context = SelectionContext.create(
+            build_model(model), platform=PLATFORMS[platform], library=library, dt_graph=dt_graph
+        )
+        levels = workspace_levels(context)
+        infeasible = levels[0] - 1.0
+        plans = solve_under_workspace_caps(context, [infeasible, *levels])
+        assert plans[0] is None and gated_cap_plan(context, infeasible) is None
+        assert solve_under_workspace_cap(context, infeasible) is None
+        for cap, plan in zip(levels, plans[1:]):
+            oracle = gated_cap_plan(context, cap)
+            assert plan is not None and oracle is not None
+            assert plan.layer_decisions == oracle.layer_decisions, cap
+            assert plan.total_cost == oracle.total_cost, cap
+            assert plan.peak_workspace_bytes <= cap
+        # The caps bind: the sweep walks through several distinct plans.
+        assert len({_plan_signature(plan) for plan in plans[1:]}) > 5
 
 
 class TestBudgetFlips:

@@ -1,9 +1,13 @@
 """Tests for the PBQP selector, the baselines and the framework emulations."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from repro.api import Session
 from repro.core.baselines import (
     family_greedy_plan,
     greedy_ignore_dt_plan,
@@ -14,8 +18,15 @@ from repro.core.frameworks import armcl_like_plan, caffe_like_plan, mkldnn_like_
 from repro.core.legalize import finalize_plan, fixed_layouts, follow_producer_layouts
 from repro.core.selector import PBQPSelector, SelectionContext, select_primitives
 from repro.cost.analytical import AnalyticalCostModel
+from repro.graph.layer import LayerKind
+from repro.layouts.dt_graph import DTGraph
 from repro.layouts.layout import CHW
+from repro.layouts.transforms import default_transform_library
+from repro.models import MODEL_BUILDERS
+from repro.pbqp.graph import PBQPGraph
 from repro.primitives.base import PrimitiveFamily
+from repro.primitives.registry import PrimitiveLibrary
+from tests.test_fanout_pricing import SMALL_LIBRARY_NAMES, fanout_dags
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +110,140 @@ class TestPBQPEncoding:
         # Row 0 is the CHW input; any primitive consuming CHW has zero cost.
         assert matrix.min() == 0.0
         assert matrix.max() > 0.0
+
+
+def reference_build_pbqp(context):
+    """The encoding written cell by cell, one ``tables.dt_costs`` lookup each.
+
+    An independent oracle for :meth:`PBQPSelector.build_pbqp`: same nodes,
+    labels and edges, every matrix entry read straight from the cost tables
+    and every fan-out chain cost summed with ``sum()``.
+    """
+    network = context.network
+    tables = context.tables
+    layouts = context.dt_graph.layouts
+
+    def alternative_layouts(layer, output):
+        if layer.is_convolution:
+            primitives = [
+                context.library.get(name) for name in sorted(tables.node_costs[layer.name])
+            ]
+            return [p.output_layout if output else p.input_layout for p in primitives]
+        if layer.kind is LayerKind.INPUT:
+            return [CHW]
+        return layouts
+
+    graph = PBQPGraph()
+    node_of_layer = {}
+    id_to_layer = {}
+    for layer in network.topological_order():
+        if layer.is_convolution:
+            costs = tables.node_costs[layer.name]
+            labels = sorted(costs)
+            vector = [costs[name] for name in labels]
+        elif layer.kind is LayerKind.INPUT:
+            labels, vector = [CHW.name], [0.0]
+        else:
+            labels = [layout.name for layout in layouts]
+            vector = [0.0] * len(labels)
+        node_of_layer[layer.name] = graph.add_node(vector, name=layer.name, labels=labels)
+        id_to_layer[node_of_layer[layer.name]] = layer.name
+
+    for edge in network.edges():
+        if len(network.consumers_of(edge.producer)) >= 2:
+            continue
+        dt = tables.dt_costs[tables.shapes[edge.producer]]
+        consumer = network.layer(edge.consumer)
+        matrix = [
+            [dt[(src.name, dst.name)] for dst in alternative_layouts(consumer, False)]
+            for src in alternative_layouts(network.layer(edge.producer), True)
+        ]
+        graph.add_edge(node_of_layer[edge.producer], node_of_layer[edge.consumer], matrix)
+
+    for layer in network.topological_order():
+        consumers = network.consumers_of(layer.name)
+        if len(consumers) < 2:
+            continue
+        dt = tables.dt_costs[tables.shapes[layer.name]]
+        demanded = {
+            name: alternative_layouts(network.layer(name), False) for name in consumers
+        }
+        targets = sorted({layout.name for options in demanded.values() for layout in options})
+        subsets = [
+            combo
+            for size in range(1, min(len(consumers), len(targets)) + 1)
+            for combo in itertools.combinations(targets, size)
+        ]
+        aux = graph.add_node(
+            [0.0] * len(subsets),
+            name=f"{layer.name}::conversions",
+            labels=["+".join(combo) for combo in subsets],
+        )
+        chain_costs = [
+            [sum(dt[(src.name, dst)] for dst in combo) for combo in subsets]
+            for src in alternative_layouts(layer, True)
+        ]
+        graph.add_edge(node_of_layer[layer.name], aux, chain_costs)
+        for name in consumers:
+            compatibility = [
+                [0.0 if layout.name in combo else math.inf for layout in demanded[name]]
+                for combo in subsets
+            ]
+            graph.add_edge(aux, node_of_layer[name], compatibility)
+    return graph, id_to_layer
+
+
+def assert_same_encoding(context):
+    graph, id_to_layer = PBQPSelector().build_pbqp(context)
+    reference, reference_ids = reference_build_pbqp(context)
+    assert id_to_layer == reference_ids
+    assert graph.node_ids == reference.node_ids
+    for expected in reference.nodes():
+        node = graph.node(expected.node_id)
+        assert (node.name, node.labels) == (expected.name, expected.labels)
+        assert np.array_equal(node.costs, expected.costs)
+    # Same edges in the same insertion order, each matrix oriented the same.
+    assert [(e.u, e.v) for e in graph.edges()] == [(e.u, e.v) for e in reference.edges()]
+    for expected in reference.edges():
+        matrix = graph.edge(expected.u, expected.v).matrix
+        assert matrix.shape == expected.matrix.shape
+        assert np.array_equal(matrix, expected.matrix)
+
+
+@pytest.fixture(scope="module")
+def zoo_session():
+    return Session()
+
+
+@pytest.fixture(scope="module")
+def small_library(library):
+    return PrimitiveLibrary([library.get(name) for name in SMALL_LIBRARY_NAMES])
+
+
+class TestEncoderMatchesReference:
+    @pytest.mark.parametrize("platform", ["intel-haswell", "arm-cortex-a57"])
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_zoo(self, zoo_session, model, platform):
+        assert_same_encoding(zoo_session.context_for(model, platform))
+
+    def test_tiny_network(self, intel_context, arm_context):
+        assert_same_encoding(intel_context)
+        assert_same_encoding(arm_context)
+
+    @settings(
+        max_examples=40,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(network=fanout_dags())
+    def test_random_fanout_dags(self, network, small_library, intel):
+        small_dt = DTGraph(small_library.layouts_used(), default_transform_library())
+        assert_same_encoding(
+            SelectionContext.create(
+                network, platform=intel, library=small_library, dt_graph=small_dt
+            )
+        )
 
 
 class TestPBQPSelection:

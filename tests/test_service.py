@@ -526,6 +526,29 @@ class TestDiskDocumentTier:
         with pytest.raises(ValueError, match="cache_dir"):
             PlannerApp(warm_executor="process")
 
+    def test_store_listing_ignores_the_plan_tier(self, tmp_path):
+        """The plan tier shares the cache dir but holds no store entries.
+
+        Regression: the store's ``*/*.json`` listing took ``plans/`` for a
+        shard, so ``stats()`` counted plan documents and ``evict()`` deleted
+        every valid one as ``stale_format``.
+        """
+        session = Session(cache_dir=str(tmp_path))
+        session.context_for("alexnet", "intel-haswell")
+        store = session.store
+        request = SelectionRequest("alexnet", "intel-haswell")
+        document = build_plan_document(Session(), request)
+        path = write_plan_document(str(tmp_path), document, request)
+
+        stats = store.stats()
+        assert stats.entries == 1 == len(store.entries())
+        assert stats.bytes_on_disk == store.entries()[0].size_bytes
+
+        report = store.evict()
+        assert report.stale_format == 0 and report.removed == 0
+        assert os.path.exists(path)
+        assert read_plan_document(str(tmp_path), request) == document
+
 
 class TestMetricsUnit:
     def test_labelled_is_stable(self):
