@@ -495,15 +495,19 @@ def _command_frontier(args: argparse.Namespace) -> int:
     if args.max_time_ms is not None:
         constraints["time_ms_max"] = args.max_time_ms
     kwargs = {} if args.budget_steps is None else {"budget_steps": args.budget_steps}
-    frontier = session.plan_frontier(
-        args.model,
-        args.platform,
-        threads=args.threads,
-        batch=args.batch,
-        constraints=constraints or None,
-        seed=args.seed,
-        **kwargs,
-    )
+    try:
+        frontier = session.plan_frontier(
+            args.model,
+            args.platform,
+            threads=args.threads,
+            batch=args.batch,
+            constraints=constraints or None,
+            seed=args.seed,
+            **kwargs,
+        )
+    except ValueError as exc:  # e.g. a NaN or infinite budget
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(frontier.format())
 
     # Workspace-budget sweep: the fastest frontier plan under shrinking

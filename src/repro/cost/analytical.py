@@ -36,7 +36,6 @@ from typing import Tuple
 from repro.cost.platform import Platform
 from repro.graph.scenario import DTYPE_ITEMSIZE, ConvScenario
 from repro.layouts.transforms import LayoutTransform
-from repro.multiobj.vector import CostVector
 from repro.primitives.base import ConvPrimitive, PrimitiveFamily
 
 #: Modelled per-layer top-1 accuracy loss (fraction) of running one
@@ -375,18 +374,6 @@ class AnalyticalCostModel:
 
     # -- multi-objective costs --------------------------------------------------------
 
-    def primitive_workspace_bytes(
-        self, primitive: ConvPrimitive, scenario: ConvScenario
-    ) -> float:
-        """Peak per-invocation scratch footprint of one primitive, in bytes.
-
-        Per image, matching the streaming assumption of :meth:`primitive_cost`
-        (a batch reuses one image's buffers), at the scenario's precision —
-        int8 scratch is a quarter of the fp32 footprint, one of quantized
-        inference's classic wins on memory-constrained parts.
-        """
-        return float(scenario.itemsize) * primitive.workspace_elements(scenario.per_image)
-
     def primitive_energy(
         self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
     ) -> float:
@@ -423,17 +410,6 @@ class AnalyticalCostModel:
         else:
             per_byte_pj = params.energy_per_dram_byte_pj
         return 1e-12 * (ops * params.energy_per_flop_pj + traffic_bytes * per_byte_pj)
-
-    def primitive_cost_vector(
-        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
-    ) -> CostVector:
-        """The (time, workspace, energy, accuracy) vector of one primitive."""
-        return CostVector(
-            time_ms=1e3 * self.primitive_cost(primitive, scenario, threads=threads),
-            peak_workspace_bytes=self.primitive_workspace_bytes(primitive, scenario),
-            energy_proxy_j=self.primitive_energy(primitive, scenario, threads=threads),
-            accuracy_proxy=self.primitive_accuracy_loss(primitive, scenario),
-        )
 
     def transform_energy(
         self,

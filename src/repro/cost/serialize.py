@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.plan import EdgeDecision, LayerDecision, NetworkPlan
 from repro.cost.platform import PLATFORMS
@@ -65,6 +65,30 @@ def _parse_shape(key: str) -> Tuple[int, int, int]:
     return (c, h, w)
 
 
+def _chain_hops(chain: Optional[TransformChain]) -> Optional[List[str]]:
+    """A conversion chain as its layout-name hop list (``None``: no chain)."""
+    if chain is None:
+        return None
+    if not len(chain):
+        return []
+    return [chain.source.name] + [hop.target.name for hop in chain.transforms]
+
+
+def _chain_from_hops(hops: Optional[List[str]], dt_graph: DTGraph) -> Optional[TransformChain]:
+    """Rebuild the chain :func:`_chain_hops` wrote, against a DT graph."""
+    if hops is None:
+        return None
+    transforms = []
+    for source_name, target_name in zip(hops, hops[1:]):
+        transform = dt_graph.direct_transform(get_layout(source_name), get_layout(target_name))
+        if transform is None:
+            raise ValueError(
+                f"serialized chain uses unknown direct transform {source_name}->{target_name}"
+            )
+        transforms.append(transform)
+    return TransformChain(transforms=tuple(transforms))
+
+
 # ---------------------------------------------------------------------------
 # Cost tables
 # ---------------------------------------------------------------------------
@@ -97,15 +121,7 @@ def cost_tables_to_dict(tables: CostTables) -> dict:
     }
     dt_hops = {
         _shape_key(shape): {
-            f"{src}->{dst}": (
-                None
-                if path.chain is None
-                else []
-                if len(path.chain) == 0
-                else [path.chain.source.name]
-                + [hop.target.name for hop in path.chain.transforms]
-            )
-            for (src, dst), path in pairs.items()
+            f"{src}->{dst}": _chain_hops(path.chain) for (src, dst), path in pairs.items()
         }
         for shape, pairs in tables.dt_paths.items()
     }
@@ -162,27 +178,11 @@ def cost_tables_from_dict(document: dict, dt_graph: DTGraph) -> CostTables:
         for pair_key, cost in pairs.items():
             src, dst = pair_key.split("->")
             costs[(src, dst)] = float(cost)
-            hop_names = hops_for_shape[pair_key]
-            chain: Optional[TransformChain]
-            if hop_names is None:
-                chain = None
-            elif not hop_names:
-                chain = TransformChain(transforms=())
-            else:
-                transforms = []
-                for source_name, target_name in zip(hop_names, hop_names[1:]):
-                    transform = dt_graph.direct_transform(
-                        get_layout(source_name), get_layout(target_name)
-                    )
-                    if transform is None:
-                        raise ValueError(
-                            f"serialized chain uses unknown direct transform "
-                            f"{source_name}->{target_name}"
-                        )
-                    transforms.append(transform)
-                chain = TransformChain(transforms=tuple(transforms))
             paths[(src, dst)] = DTPath(
-                source=get_layout(src), target=get_layout(dst), cost=float(cost), chain=chain
+                source=get_layout(src),
+                target=get_layout(dst),
+                cost=float(cost),
+                chain=_chain_from_hops(hops_for_shape[pair_key], dt_graph),
             )
         dt_costs[shape] = costs
         dt_paths[shape] = paths
@@ -265,13 +265,7 @@ def plan_to_dict(plan: NetworkPlan) -> dict:
                 "consumer": e.consumer,
                 "source_layout": e.source_layout.name,
                 "target_layout": e.target_layout.name,
-                "hops": None
-                if e.chain is None
-                else (
-                    [e.chain.source.name] + [hop.target.name for hop in e.chain.transforms]
-                    if len(e.chain)
-                    else []
-                ),
+                "hops": _chain_hops(e.chain),
                 "cost": e.cost,
                 "energy_j": e.energy_j,
             }
@@ -331,30 +325,13 @@ def plan_from_dict(document: dict, dt_graph: DTGraph) -> NetworkPlan:
             accuracy_loss=float(entry.get("accuracy_loss", 0.0)),
         )
     for entry in document["edges"]:
-        hops = entry["hops"]
-        if hops is None:
-            chain = None
-        elif not hops:
-            chain = TransformChain(transforms=())
-        else:
-            transforms = []
-            for source_name, target_name in zip(hops, hops[1:]):
-                transform = dt_graph.direct_transform(
-                    get_layout(source_name), get_layout(target_name)
-                )
-                if transform is None:
-                    raise ValueError(
-                        f"serialized plan uses unknown direct transform {source_name}->{target_name}"
-                    )
-                transforms.append(transform)
-            chain = TransformChain(transforms=tuple(transforms))
         plan.edge_decisions.append(
             EdgeDecision(
                 producer=entry["producer"],
                 consumer=entry["consumer"],
                 source_layout=get_layout(entry["source_layout"]),
                 target_layout=get_layout(entry["target_layout"]),
-                chain=chain,
+                chain=_chain_from_hops(entry["hops"], dt_graph),
                 cost=float(entry["cost"]),
                 energy_j=float(entry.get("energy_j", 0.0)),
             )

@@ -30,7 +30,6 @@ from repro.graph.network import Network
 from repro.graph.scenario import ConvScenario
 from repro.layouts.dt_graph import DTGraph, DTPath
 from repro.layouts.layout import Layout
-from repro.multiobj.vector import CostVector
 from repro.primitives.registry import PrimitiveLibrary
 
 Shape = Tuple[int, int, int]
@@ -90,16 +89,6 @@ class CostTables:
         accuracy data; those report 0, which is also the correct fp32 value.
         """
         return self.node_accuracy.get(layer, {}).get(primitive, 0.0)
-
-    def primitive_vector(self, layer: str, primitive: str) -> CostVector:
-        """The full (time, workspace, energy, accuracy) vector of one node
-        alternative."""
-        return CostVector(
-            time_ms=1e3 * self.node_costs[layer][primitive],
-            peak_workspace_bytes=self.primitive_workspace(layer, primitive),
-            energy_proxy_j=self.primitive_energy(layer, primitive),
-            accuracy_proxy=self.primitive_accuracy(layer, primitive),
-        )
 
     def cheapest_primitive(self, layer: str) -> Tuple[str, float]:
         """The fastest primitive for a layer, considered in isolation."""

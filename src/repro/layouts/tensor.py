@@ -17,12 +17,11 @@ batched interchange format is the ``(N, C, H, W)`` view of
 purely elementwise, so every transform chain works unchanged on batched
 tensors.
 
-Precision support lives here too: :data:`NUMPY_DTYPES` maps the scenario
-dtype axis (``"fp32"``/``"fp16"``/``"int8"``) onto numpy storage types, and
-:func:`quantize_symmetric`/:func:`dequantize` implement the int8 scheme every
-quantized primitive shares — symmetric per-tensor scaling into ``[-127, 127]``
-with exact int32-style accumulation (integer-valued products are accumulated
-without rounding, then rescaled once per tensor).
+Precision support lives here too: :func:`quantize_symmetric` and
+:func:`dequantize` implement the int8 scheme every quantized primitive
+shares — symmetric per-tensor scaling into ``[-127, 127]`` with exact
+int32-style accumulation (integer-valued products are accumulated without
+rounding, then rescaled once per tensor).
 """
 
 from __future__ import annotations
@@ -34,24 +33,9 @@ import numpy as np
 
 from repro.layouts.layout import CHW, Layout
 
-#: Numpy storage type per scenario precision.  Layout conversions are
-#: dtype-polymorphic (``_chw_to_physical`` preserves the array dtype), so a
-#: blocked int8 tensor pads with int8 zeros and moves 1-byte elements.
-NUMPY_DTYPES = {"fp32": np.float32, "fp16": np.float16, "int8": np.int8}
-
 #: The int8 quantization grid: symmetric, so -128 is never produced and the
 #: representable range is exactly ``[-127 * scale, 127 * scale]``.
 INT8_QUANT_MAX = 127
-
-
-def numpy_dtype(dtype: str):
-    """The numpy storage type for a scenario precision string."""
-    try:
-        return NUMPY_DTYPES[dtype]
-    except KeyError:
-        raise ValueError(
-            f"unknown dtype {dtype!r}; expected one of {sorted(NUMPY_DTYPES)}"
-        ) from None
 
 
 def quantize_symmetric(array: np.ndarray) -> Tuple[np.ndarray, float]:

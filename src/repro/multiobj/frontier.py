@@ -468,7 +468,6 @@ def build_frontier(
     constraints: Optional[Dict[str, float]] = None,
     seed: int = 0,
     budget_steps: int = DEFAULT_BUDGET_STEPS,
-    scalarization_weights: Sequence[Tuple[float, float, float]] = SCALARIZATION_WEIGHTS,
     dtype_contexts: Optional[Dict[str, SelectionContext]] = None,
 ) -> Frontier:
     """Build the Pareto frontier of whole-network plans for one context.
@@ -527,7 +526,7 @@ def build_frontier(
             candidates.append((plan, f"cap:{int(cap)}"))
 
     # 3. Weighted scalarization solves.
-    for weights in scalarization_weights:
+    for weights in SCALARIZATION_WEIGHTS:
         label = "weights:" + "/".join(f"{w:g}" for w in weights)
         steering = dataclasses.replace(context, tables=_scalarized_tables(context, weights))
         graph, id_to_layer = selector.build_pbqp(steering)

@@ -30,6 +30,7 @@ can import it without cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -107,18 +108,22 @@ class CostVector:
 
         Constraint keys follow the ``{objective}_max`` convention, e.g.
         ``{"peak_workspace_bytes_max": 1 << 20, "time_ms_max": 40.0}``.
-        Unknown keys raise, so typos never silently pass.
+        Unknown keys raise, so typos never silently pass; so do non-finite
+        bounds (a NaN bound compares false, so it would pass everything).
+        Every key is checked before any bound is compared.
         """
-        values = self.to_dict()
         for key, bound in constraints.items():
             if not key.endswith("_max") or key[: -len("_max")] not in OBJECTIVES:
                 raise ValueError(
                     f"unknown constraint {key!r}; expected one of "
                     f"{[name + '_max' for name in OBJECTIVES]}"
                 )
-            if values[key[: -len("_max")]] > bound:
-                return False
-        return True
+            if not math.isfinite(bound):
+                raise ValueError(f"constraint {key!r} needs a finite bound, got {bound!r}")
+        values = self.to_dict()
+        return not any(
+            values[key[: -len("_max")]] > bound for key, bound in constraints.items()
+        )
 
     # -- serialization ----------------------------------------------------------
 

@@ -327,41 +327,19 @@ class ConvPrimitive:
     ) -> np.ndarray:
         """Compute a batched convolution; ``scenario`` is the per-image scenario.
 
-        Ungrouped scenarios first try the family's vectorized
-        :meth:`_compute_batch` path; everything else (and families without
-        one) falls back to a per-image loop over :meth:`_run_grouped`, which
-        is correct for every family but pays Python-loop overhead once per
-        image.  The whole-batch input is only padded when the family actually
-        overrides the fast path — the fallback pads per image.
+        Every family runs its single routine image by image through
+        :meth:`_run_grouped`.  Only a family whose batch shares work across
+        images (the 2D FFT's kernel spectra) overrides this.
         """
-        has_fast_path = type(self)._compute_batch is not ConvPrimitive._compute_batch
-        if scenario.groups == 1 and has_fast_path:
-            padded, inner = _pad_scenario(x_nchw, scenario)
-            fast = self._compute_batch(padded, kernel, inner)
-            if fast is not None:
-                return fast
         return np.stack(
             [self._run_grouped(x_nchw[i], kernel, scenario) for i in range(x_nchw.shape[0])]
         )
-
-    def _compute_batch(
-        self, x_nchw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario
-    ) -> Optional[np.ndarray]:
-        """Optional vectorized path over the batch axis.
-
-        ``x_nchw`` is already padded and ``scenario`` is the per-image
-        scenario with ``padding=0`` and ``groups=1``.  Families whose loop
-        structure vectorizes naturally across images override this to return
-        the ``(N, M, out_H, out_W)`` result; the ``None`` default falls back
-        to the per-image loop.
-        """
-        return None
 
     def _run_grouped(
         self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario
     ) -> np.ndarray:
         """Handle padding and grouped convolution, delegating per-group work."""
-        padded, inner = _pad_scenario(x_chw, scenario)
+        padded, inner = pad_scenario(x_chw, scenario)
         if scenario.groups == 1:
             return self._compute(padded, kernel, inner)
         if inner.is_depthwise and inner.m == inner.c:
@@ -446,7 +424,7 @@ def depthwise_shifted_accumulation(
     return out
 
 
-def _pad_scenario(
+def pad_scenario(
     x: np.ndarray, scenario: ConvScenario
 ) -> Tuple[np.ndarray, ConvScenario]:
     """Zero-pad the spatial axes and return the equivalent padding-free scenario.

@@ -95,27 +95,6 @@ class DirectLoopPrimitive(ConvPrimitive):
         """Depthwise form of the loop nest: no channel reduction, vectorized per map."""
         return depthwise_shifted_accumulation(x_chw, kernel, scenario)
 
-    def _compute_batch(self, x_nchw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
-        """Batched loop nest: the image axis rides along every shifted slice."""
-        stride, k = scenario.stride, scenario.k
-        out_h, out_w = scenario.out_h, scenario.out_w
-        x64 = x_nchw.astype(np.float64, copy=False)
-        kernel64 = kernel.astype(np.float64, copy=False)
-        out = np.zeros((x_nchw.shape[0],) + scenario.output_shape, dtype=np.float64)
-        for kh in range(k):
-            for kw in range(k):
-                window = x64[
-                    :,
-                    :,
-                    kh : kh + (out_h - 1) * stride + 1 : stride,
-                    kw : kw + (out_w - 1) * stride + 1 : stride,
-                ]
-                # (M, C) contraction against (N, C, outH, outW) for this offset.
-                out += np.einsum(
-                    "mc,nchw->nmhw", kernel64[:, :, kh, kw], window, optimize=True
-                )
-        return out
-
     def _compute(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
         """Direct convolution via shifted-slice accumulation.
 

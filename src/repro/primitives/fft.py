@@ -13,6 +13,10 @@ Both shapes are provided: the paper's row-wise 1D-sum formulation
 (:class:`FFT2DPrimitive`).  FFT convolution pays a large fixed transform cost
 that is only amortized for large kernels, which is why Table 1 lists "small
 kernel" as the family's bad case.
+
+The 2D form is the one primitive that runs a minibatch in one call: its
+kernel spectra are computed once and shared by every image.  Every other
+primitive, the row-wise 1D form included, runs a batch image by image.
 """
 
 from __future__ import annotations
@@ -23,7 +27,12 @@ import numpy as np
 
 from repro.graph.scenario import ConvScenario
 from repro.layouts.layout import CHW, Layout
-from repro.primitives.base import ConvPrimitive, PrimitiveFamily, PrimitiveTraits
+from repro.primitives.base import (
+    ConvPrimitive,
+    PrimitiveFamily,
+    PrimitiveTraits,
+    pad_scenario,
+)
 
 
 def _fft_length(size: int) -> int:
@@ -200,13 +209,21 @@ class FFT2DPrimitive(_FFTBase):
         conv = np.fft.irfft2(prod, s=(fft_h, fft_w))
         return conv[:, k - 1 : k - 1 + out_h, k - 1 : k - 1 + out_w]
 
-    def _compute_batch(self, x_nchw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
-        """Batched 2D-FFT path: one set of kernel spectra serves every image."""
-        k = scenario.k
-        out_h, out_w = scenario.out_h, scenario.out_w
-        fft_h = _fft_length(scenario.h + k - 1)
-        fft_w = _fft_length(scenario.w + k - 1)
-        x64 = x_nchw.astype(np.float64, copy=False)
+    def _run_batched(self, x_nchw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
+        """Batched 2D-FFT path: one set of kernel spectra serves every image.
+
+        The only family with a batch form of its own, because it is the only
+        one whose batch shares work across images; grouped scenarios take the
+        per-image loop of :meth:`ConvPrimitive._run_batched`.
+        """
+        if scenario.groups != 1:
+            return super()._run_batched(x_nchw, kernel, scenario)
+        padded, inner = pad_scenario(x_nchw, scenario)
+        k = inner.k
+        out_h, out_w = inner.out_h, inner.out_w
+        fft_h = _fft_length(inner.h + k - 1)
+        fft_w = _fft_length(inner.w + k - 1)
+        x64 = padded.astype(np.float64, copy=False)
         kernel64 = kernel.astype(np.float64, copy=False)
 
         input_spectra = np.fft.rfft2(x64, s=(fft_h, fft_w))  # (N, C, fft_h, F)

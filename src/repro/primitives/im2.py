@@ -80,31 +80,6 @@ class _Im2Base(ConvPrimitive):
         )
         return float(patch * scenario.groups)
 
-    def _compute_batch(self, x_nchw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
-        """Batched patch-matrix GEMM: one contraction over all images at once.
-
-        Both patch orientations (im2col / im2row) compute the same
-        contraction; the batched path gathers ``(N, C, K, K, outH, outW)``
-        patches and contracts against the ``(M, C*K*K)`` kernel matrix.
-        """
-        c, k, stride = scenario.c, scenario.k, scenario.stride
-        out_h, out_w = scenario.out_h, scenario.out_w
-        n = x_nchw.shape[0]
-        x64 = x_nchw.astype(np.float64, copy=False)
-        patches = np.empty((n, c, k, k, out_h, out_w), dtype=np.float64)
-        for kh in range(k):
-            for kw in range(k):
-                patches[:, :, kh, kw] = x64[
-                    :,
-                    :,
-                    kh : kh + (out_h - 1) * stride + 1 : stride,
-                    kw : kw + (out_w - 1) * stride + 1 : stride,
-                ]
-        patch_matrix = patches.reshape(n, c * k * k, out_h * out_w)
-        kernel_matrix = kernel.reshape(scenario.m, -1).astype(np.float64, copy=False)
-        result = np.einsum("mq,nqp->nmp", kernel_matrix, patch_matrix, optimize=True)
-        return result.reshape(n, scenario.m, out_h, out_w)
-
 
 class Im2ColPrimitive(_Im2Base):
     """im2col: CHW input, ``kernel_matrix @ patch_matrix`` GEMM."""

@@ -86,26 +86,6 @@ class _Kn2Base(ConvPrimitive):
                 out += partial[:, kh : kh + out_h, kw : kw + out_w]
         return out
 
-    def _compute_batch(self, x_nchw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
-        """Batched shift-add: each per-offset GEMM contracts all images at once."""
-        if scenario.stride != 1:
-            raise ValueError("kn2 primitives require unit stride")
-        c, h, w = scenario.c, scenario.h, scenario.w
-        k, m = scenario.k, scenario.m
-        out_h, out_w = scenario.out_h, scenario.out_w
-        n = x_nchw.shape[0]
-        x64 = x_nchw.astype(np.float64, copy=False)
-        image_matrix = x64.reshape(n, c, h * w)
-        kernel64 = kernel.astype(np.float64, copy=False)
-        out = np.zeros((n, m, out_h, out_w), dtype=np.float64)
-        for kh in range(k):
-            for kw in range(k):
-                partial = np.einsum(
-                    "mc,ncp->nmp", kernel64[:, :, kh, kw], image_matrix, optimize=True
-                ).reshape(n, m, h, w)
-                out += partial[:, :, kh : kh + out_h, kw : kw + out_w]
-        return out
-
 
 class Kn2RowPrimitive(_Kn2Base):
     """kn2row: channel-minor (HWC) data, row-major shift-add accumulation."""

@@ -24,7 +24,7 @@ from repro.core.strategies import registered_names
 from repro.cost.platform import PLATFORMS, list_platforms
 from repro.graph.scenario import DTYPES
 from repro.models import MODEL_BUILDERS
-from repro.multiobj.vector import OBJECTIVES
+from repro.multiobj.vector import OBJECTIVES, CostVector
 from repro.pbqp.solver import solve_count
 from repro.service.app import ApiError, Endpoint, Field, Params, PlannerApp
 
@@ -216,6 +216,10 @@ def handle_frontier(app: PlannerApp, params: Params) -> dict:
                 "invalid_constraints",
                 "; ".join(problems) + f"; valid keys: {', '.join(_CONSTRAINT_KEYS)}",
             )
+        try:
+            CostVector().satisfies(constraints)
+        except ValueError as exc:  # a NaN or infinite bound
+            raise ApiError(400, "invalid_constraints", str(exc)) from None
     key = (
         "frontier",
         params["model"],

@@ -20,7 +20,6 @@ from repro.core.strategies import (
     register_strategy,
     registered_names,
 )
-from repro.experiments.whole_network import FIGURE_STRATEGIES
 from repro.models import build_model
 
 ALL_STRATEGY_NAMES = {
@@ -51,10 +50,9 @@ class TestRegistry:
         assert registered_names() == list(STRATEGIES)
 
     def test_figure_strategies_are_a_registry_view(self):
-        assert FIGURE_STRATEGIES == figure_strategy_names()
-        assert set(FIGURE_STRATEGIES) <= set(STRATEGIES)
+        assert set(figure_strategy_names()) <= set(STRATEGIES)
         # The paper's bar order.
-        assert FIGURE_STRATEGIES == [
+        assert figure_strategy_names() == [
             "direct",
             "im2",
             "kn2",
@@ -86,9 +84,6 @@ class TestRegistry:
                 pass
 
     def test_figure_strategies_view_is_live(self):
-        import repro.experiments
-        import repro.experiments.whole_network as whole_network
-
         @register_strategy
         class LateBar(Strategy):
             name = "test_late_bar"
@@ -99,11 +94,10 @@ class TestRegistry:
 
         try:
             # A strategy registered after import still gains a figure bar.
-            assert whole_network.FIGURE_STRATEGIES[-1] == "test_late_bar"
-            assert repro.experiments.FIGURE_STRATEGIES[-1] == "test_late_bar"
+            assert figure_strategy_names()[-1] == "test_late_bar"
         finally:
             del STRATEGIES["test_late_bar"]
-        assert "test_late_bar" not in whole_network.FIGURE_STRATEGIES
+        assert "test_late_bar" not in figure_strategy_names()
 
     def test_custom_strategy_registers_and_unregisters(self, session):
         @register_strategy

@@ -6,7 +6,8 @@ Covers the batching tentpole end to end:
   every standard layout (blocked and unblocked);
 * every primitive family executed on a batched scenario matches a per-image
   loop over the sum2d reference within 1e-4, including when the batched
-  input arrives through a non-trivial layout-conversion chain;
+  input arrives through a non-trivial layout-conversion chain, and every
+  primitive but the 2D FFT equals its own per-image ``execute`` exactly;
 * the executor runs batched forward passes that are numerically identical to
   independent single-image runs;
 * ``Session.run(..., batch=n)`` matches ``n`` batch-1 runs, and the
@@ -25,6 +26,7 @@ from repro.graph.scenario import ConvScenario
 from repro.layouts.layout import CHW, HWC, STANDARD_LAYOUTS
 from repro.layouts.tensor import LayoutTensor
 from repro.primitives.base import PrimitiveFamily
+from repro.primitives.fft import FFT2DPrimitive
 from repro.primitives.reference import reference_convolution
 
 
@@ -116,6 +118,15 @@ class TestBatchedPrimitives:
             np.testing.assert_allclose(
                 out.to_nchw(), expected, atol=1e-4, err_msg=primitive.name
             )
+            if not isinstance(primitive, FFT2DPrimitive):
+                # Every other family runs a batch as its per-image routine.
+                per_image = np.stack([
+                    primitive.execute(
+                        LayoutTensor.from_chw(x[i], primitive.input_layout), kernel, scenario
+                    ).to_chw()
+                    for i in range(n)
+                ])
+                assert np.array_equal(out.to_nchw(), per_image), primitive.name
             families_seen.add(primitive.family)
         assert PrimitiveFamily.SUM2D in families_seen
         assert PrimitiveFamily.DIRECT in families_seen

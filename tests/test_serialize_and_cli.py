@@ -184,6 +184,19 @@ class TestCLI:
             assert "// schedule for alexnet [pbqp] on intel-haswell" in out
             assert "convolution  conv1" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--max-workspace-kib", "nan", "peak_workspace_bytes_max"),
+            ("--max-time-ms", "nan", "time_ms_max"),
+            ("--max-energy-mj", "inf", "energy_proxy_j_max"),
+        ],
+    )
+    def test_frontier_rejects_non_finite_budget(self, flag, value, key, capsys):
+        assert main(["frontier", "alexnet", flag, value, "--budget-steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_tables_command(self, capsys):
         assert main(["tables", "--platform", "arm-cortex-a57"]) == 0
         out = capsys.readouterr().out

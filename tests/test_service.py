@@ -249,13 +249,23 @@ class TestCompareAndFrontier:
         direct = {canonical(p.vector.to_dict()) for p in frontier.points}
         assert served == direct
 
-    def test_frontier_rejects_bad_constraints(self, service):
+    @pytest.mark.parametrize(
+        "constraints",
+        [
+            {"nonsense_max": 1.0},
+            {"peak_workspace_bytes_max": float("nan")},
+            {"peak_workspace_bytes_max": float("inf")},
+            {"time_ms_max": float("-inf")},
+        ],
+        ids=["unknown-key", "nan", "infinity", "minus-infinity"],
+    )
+    def test_frontier_rejects_bad_constraints(self, service, constraints):
         _, client = service
         with pytest.raises(ServiceError) as excinfo:
-            client.frontier(
-                "alexnet", "intel-haswell", constraints={"nonsense_max": 1.0}
-            )
+            client.frontier("alexnet", "intel-haswell", constraints=constraints)
+        assert excinfo.value.status == 400
         assert excinfo.value.code == "invalid_constraints"
+        assert next(iter(constraints)) in str(excinfo.value)
 
     def test_frontier_include_plans_embeds_full_document(self, service):
         _, client = service
