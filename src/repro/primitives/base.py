@@ -342,23 +342,12 @@ class ConvPrimitive:
         padded, inner = pad_scenario(x_chw, scenario)
         if scenario.groups == 1:
             return self._compute(padded, kernel, inner)
-        if inner.is_depthwise and inner.m == inner.c:
-            fast = self._compute_depthwise(padded, kernel, inner)
-            if fast is not None:
-                return fast
+        fast = self._compute_grouped(padded, kernel, inner)
+        if fast is not None:
+            return fast
         group_c = scenario.c // scenario.groups
         group_m = scenario.m // scenario.groups
-        sub_scenario = ConvScenario(
-            c=group_c,
-            h=inner.h,
-            w=inner.w,
-            stride=inner.stride,
-            k=inner.k,
-            m=group_m,
-            padding=0,
-            groups=1,
-            dtype=inner.dtype,
-        )
+        sub_scenario = replace(inner, c=group_c, m=group_m, groups=1)
         outputs = []
         for g in range(scenario.groups):
             x_group = padded[g * group_c : (g + 1) * group_c]
@@ -366,16 +355,17 @@ class ConvPrimitive:
             outputs.append(self._compute(x_group, k_group, sub_scenario))
         return np.concatenate(outputs, axis=0)
 
-    def _compute_depthwise(
+    def _compute_grouped(
         self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario
     ) -> Optional[np.ndarray]:
-        """Optional batched path for depthwise scenarios (``groups == c == m``).
+        """Optional all-groups path for a grouped scenario (``groups > 1``).
 
         ``x_chw`` is already padded, ``scenario`` has ``padding=0`` and the
-        kernel has shape ``(C, 1, K, K)``.  Families whose loop structure
-        vectorizes naturally across channels override this; the ``None``
-        default falls back to the generic per-group loop, which is correct for
-        every family but pays Python-loop overhead once per channel.
+        kernel has shape ``(M, C/groups, K, K)``.  Families whose algorithm
+        vectorizes across groups override this; returning ``None`` (the
+        default) falls back to the per-group loop over :meth:`_compute`,
+        which is correct for every family but pays Python-loop overhead once
+        per group.
         """
         return None
 
@@ -399,15 +389,18 @@ class ConvPrimitive:
 
 def depthwise_shifted_accumulation(
     x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario
-) -> np.ndarray:
+) -> Optional[np.ndarray]:
     """Depthwise convolution by shifted-window accumulation over all channels.
 
     The common loop structure of the direct/sum2d depthwise paths: no channel
     reduction, one scaled window accumulation per kernel offset, vectorized
-    across every feature map at once.  ``x_chw`` is already padded,
-    ``scenario`` has ``padding=0`` and ``groups == c == m``; the kernel has
-    shape ``(C, 1, K, K)``.
+    across every feature map at once.  ``x_chw`` is already padded and
+    ``scenario`` has ``padding=0``.  Returns ``None`` unless the scenario is
+    depthwise with ``groups == c == m`` (kernel shape ``(C, 1, K, K)``), so
+    it serves directly as a :meth:`ConvPrimitive._compute_grouped` override.
     """
+    if not (scenario.is_depthwise and scenario.m == scenario.c):
+        return None
     stride, k = scenario.stride, scenario.k
     out_h, out_w = scenario.out_h, scenario.out_w
     x64 = x_chw.astype(np.float64, copy=False)

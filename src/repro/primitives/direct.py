@@ -14,7 +14,7 @@ the mathematics.  Strided convolution is the family's strength (Table 1).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class DirectLoopPrimitive(ConvPrimitive):
         # every precision (the MAC loop is the textbook int8/fp16 kernel).
         return self.supports_dtype(scenario.dtype) and self.available_on(platform)
 
-    def _compute_depthwise(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
+    def _compute_grouped(
+        self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario
+    ) -> Optional[np.ndarray]:
         """Depthwise form of the loop nest: no channel reduction, vectorized per map."""
         return depthwise_shifted_accumulation(x_chw, kernel, scenario)
 

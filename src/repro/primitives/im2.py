@@ -19,6 +19,7 @@ transposed (the "A BT I K" variant of Figure 4).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.graph.scenario import ConvScenario
 from repro.layouts.layout import CHW, HWC, Layout
@@ -27,33 +28,26 @@ from repro.primitives.base import ConvPrimitive, PrimitiveFamily, PrimitiveTrait
 
 def im2col_matrix(x_chw: np.ndarray, scenario: ConvScenario) -> np.ndarray:
     """Build the ``(C*K*K, outH*outW)`` column-patch (Toeplitz) matrix."""
-    c, k, stride = scenario.c, scenario.k, scenario.stride
-    out_h, out_w = scenario.out_h, scenario.out_w
-    columns = np.empty((c, k, k, out_h, out_w), dtype=x_chw.dtype)
-    for kh in range(k):
-        for kw in range(k):
-            columns[:, kh, kw] = x_chw[
-                :,
-                kh : kh + (out_h - 1) * stride + 1 : stride,
-                kw : kw + (out_w - 1) * stride + 1 : stride,
-            ]
-    return columns.reshape(c * k * k, out_h * out_w)
+    k, stride = scenario.k, scenario.stride
+    # (C, outH, outW, K, K) strided view of every window, copied once.
+    windows = sliding_window_view(x_chw, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    return windows.transpose(0, 3, 4, 1, 2).reshape(scenario.c * k * k, -1)
 
 
 def im2row_matrix(x_chw: np.ndarray, scenario: ConvScenario) -> np.ndarray:
-    """Build the ``(outH*outW, K*K*C)`` row-patch matrix (channel-minor order)."""
-    c, k, stride = scenario.c, scenario.k, scenario.stride
-    out_h, out_w = scenario.out_h, scenario.out_w
-    rows = np.empty((out_h, out_w, k, k, c), dtype=x_chw.dtype)
-    x_hwc = np.transpose(x_chw, (1, 2, 0))
-    for kh in range(k):
-        for kw in range(k):
-            rows[:, :, kh, kw, :] = x_hwc[
-                kh : kh + (out_h - 1) * stride + 1 : stride,
-                kw : kw + (out_w - 1) * stride + 1 : stride,
-                :,
-            ]
-    return rows.reshape(out_h * out_w, k * k * c)
+    """Build the ``(outH*outW, K*K*C)`` row-patch matrix (channel-minor order).
+
+    A grouped scenario gets one row-patch matrix per group, stacked on a
+    leading group axis: ``(groups, outH*outW, K*K*C/groups)``.
+    """
+    k, stride, groups = scenario.k, scenario.stride, scenario.groups
+    x_groups = x_chw.reshape((groups, scenario.c // groups) + x_chw.shape[1:])
+    # (groups, C/groups, outH, outW, K, K) strided view of every window.
+    windows = sliding_window_view(x_groups, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    rows = windows.transpose(0, 2, 3, 4, 5, 1).reshape(
+        groups, scenario.out_h * scenario.out_w, -1
+    )
+    return rows[0] if groups == 1 else rows
 
 
 class _Im2Base(ConvPrimitive):
@@ -80,6 +74,11 @@ class _Im2Base(ConvPrimitive):
         )
         return float(patch * scenario.groups)
 
+    def _compute(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
+        # Ungrouped is the one-group case of the group-axis GEMM: every group's
+        # patch matrix is built at once and multiplied by one stacked matmul.
+        return self._compute_grouped(x_chw, kernel, scenario)
+
 
 class Im2ColPrimitive(_Im2Base):
     """im2col: CHW input, ``kernel_matrix @ patch_matrix`` GEMM."""
@@ -101,13 +100,18 @@ class Im2ColPrimitive(_Im2Base):
             transpose_kernel=transpose_kernel,
         )
 
-    def _compute(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
+    def _compute_grouped(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
+        groups = scenario.groups
+        # (C*K*K, P) is channel-major, so splitting it per group is a reshape.
         patches = im2col_matrix(x_chw.astype(np.float64, copy=False), scenario)
-        kernel_matrix = kernel.reshape(scenario.m, -1).astype(np.float64, copy=False)
+        patches = patches.reshape(groups, -1, patches.shape[1])
+        kernel_matrix = kernel.reshape(groups, scenario.m // groups, -1)
+        kernel_matrix = kernel_matrix.astype(np.float64, copy=False)
         if self.transpose_kernel:
             # Equivalent GEMM with the kernel operand stored transposed, as in
             # the "A BT I K" selections of Figure 4.
-            result = (patches.T @ kernel_matrix.T).T
+            result = patches.transpose(0, 2, 1) @ kernel_matrix.transpose(0, 2, 1)
+            result = result.transpose(0, 2, 1)
         else:
             result = kernel_matrix @ patches
         return result.reshape(scenario.m, scenario.out_h, scenario.out_w)
@@ -133,17 +137,17 @@ class Im2RowPrimitive(_Im2Base):
             transpose_kernel=transpose_kernel,
         )
 
-    def _compute(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
+    def _compute_grouped(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
+        groups, group_m = scenario.groups, scenario.m // scenario.groups
+        out_h, out_w = scenario.out_h, scenario.out_w
         rows = im2row_matrix(x_chw.astype(np.float64, copy=False), scenario)
-        # Kernel reordered to (M, K*K*C) matching the row-patch element order.
-        kernel_rows = (
-            kernel.astype(np.float64, copy=False)
-            .transpose(0, 2, 3, 1)
-            .reshape(scenario.m, -1)
-        )
+        rows = rows.reshape(groups, out_h * out_w, -1)
+        # Kernel reordered to (groups, M/groups, K*K*C/groups), the row-patch element order.
+        kernel_rows = kernel.astype(np.float64, copy=False).transpose(0, 2, 3, 1)
+        kernel_rows = kernel_rows.reshape(groups, group_m, -1)
         if self.transpose_kernel:
-            result = rows @ kernel_rows.T
+            result = rows @ kernel_rows.transpose(0, 2, 1)
         else:
-            result = (kernel_rows @ rows.T).T
-        out_hwm = result.reshape(scenario.out_h, scenario.out_w, scenario.m)
-        return np.ascontiguousarray(np.transpose(out_hwm, (2, 0, 1)))
+            result = (kernel_rows @ rows.transpose(0, 2, 1)).transpose(0, 2, 1)
+        out = result.reshape(groups, out_h, out_w, group_m).transpose(0, 3, 1, 2)
+        return np.ascontiguousarray(out.reshape(scenario.m, out_h, out_w))

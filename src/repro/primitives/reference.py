@@ -10,6 +10,8 @@ in section 4.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.graph.scenario import ConvScenario
@@ -97,7 +99,9 @@ class Sum2DPrimitive(ConvPrimitive):
             per_call_overhead_ops=2_000.0,
         )
 
-    def _compute_depthwise(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
+    def _compute_grouped(
+        self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario
+    ) -> Optional[np.ndarray]:
         """Depthwise sum2d: each output map is one single-channel 2D convolution."""
         return depthwise_shifted_accumulation(x_chw, kernel, scenario)
 

@@ -9,7 +9,9 @@ Two shapes of variant are provided, matching Figure 4 of the paper:
 * :class:`Winograd2DPrimitive` — tiled two-dimensional Winograd ``F(m x m,
   r x r)``; minimal multiplications but a large transformed-domain workspace
   (the ``(m+r-1)^2 / m^2`` expansion), which the paper identifies as the
-  reason 2D Winograd wins on the large-cache Intel part;
+  reason 2D Winograd wins on the large-cache Intel part.  It executes as
+  ``n^2`` independent GEMMs (Lavin & Gray) over a strided view of the input
+  tiles; the kernel transform ``G g G^T`` is two small tensordots per call;
 * :class:`Winograd1DPrimitive` — two-dimensional convolution assembled from
   one-dimensional Winograd convolutions ``F(m, r)`` applied along image rows,
   one per kernel row.  More floating point operations but far less memory,
@@ -28,6 +30,7 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.graph.scenario import ConvScenario
 from repro.layouts.layout import CHW, HCW, Layout
@@ -239,9 +242,14 @@ class Winograd2DPrimitive(_WinogradBase):
     # -- execution ------------------------------------------------------------------
 
     def _compute(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
+        """``F(m x m, r x r)`` as ``n^2`` independent GEMMs over the ``P`` tiles.
+
+        Each transform is two small products over the whole tile set, and each
+        stage buffer is released once the next is built, so the live scratch
+        stays at the transformed input and output tiles (workspace_elements).
+        """
         at, g, bt = winograd_matrices(self.tile, self.kernel_size)
         m_tile, n = self.tile, self.tile_input
-        out_h, out_w = scenario.out_h, scenario.out_w
         tiles_h, tiles_w = self._tiles(scenario)
 
         # Pad the input so that an integer number of tiles covers the output.
@@ -253,47 +261,33 @@ class Winograd2DPrimitive(_WinogradBase):
             mode="constant",
         )
 
-        # Gather input tiles: (C, tiles_h, tiles_w, n, n).
-        c = scenario.c
-        tiles = np.empty((c, tiles_h, tiles_w, n, n), dtype=np.float64)
-        for th in range(tiles_h):
-            for tw in range(tiles_w):
-                tiles[:, th, tw] = x64[
-                    :, th * m_tile : th * m_tile + n, tw * m_tile : tw * m_tile + n
-                ]
-
-        # Transform: V = BT @ d @ BT^T ; U = G @ g @ G^T.  The transforms run
-        # one two-operand product at a time and every stage buffer is released
-        # as soon as the next is built, so the live scratch stays at the
-        # transformed input and output tile sets, as workspace_elements models.
-        half = np.einsum("ij,cxyjk->cxyik", bt, tiles)
-        del tiles
-        v = np.einsum("cxyik,lk->cxyil", half, bt)
+        # Input tiles as a strided view, indexed (j, k, C, tiles_h, tiles_w).
+        tiles = sliding_window_view(x64, (n, n), axis=(1, 2))[
+            :, : tiles_h * m_tile : m_tile, : tiles_w * m_tile : m_tile
+        ].transpose(3, 4, 0, 1, 2)
+        # V = BT d BT^T, indexed (i, l, C, P).
+        half = np.tensordot(bt, tiles, axes=1).reshape(n, n, -1)
+        v = np.matmul(bt, half).reshape(n, n, scenario.c, -1)
         del half
-        u = np.einsum("ij,mcjk,lk->mcil", g, kernel.astype(np.float64, copy=False), g, optimize=True)
+        # U = G g G^T, indexed (i, l, M, C).
+        kernel64 = kernel.astype(np.float64, copy=False)
+        u = np.tensordot(g, np.tensordot(g, kernel64, axes=([1], [3])), axes=([1], [3]))
 
-        # Elementwise product summed over channels: (M, tiles_h, tiles_w, n, n),
-        # accumulated per transformed-domain position to avoid broadcast copies.
-        prod = np.empty((scenario.m, tiles_h, tiles_w, n, n), dtype=np.float64)
-        for i in range(n):
-            for l in range(n):
-                prod[:, :, :, i, l] = np.tensordot(u[:, :, i, l], v[:, :, :, i, l], axes=1)
+        # Channel reduction: (n, n, M, C) @ (n, n, C, P), one GEMM per position.
+        prod = np.matmul(u, v)
         del v
 
-        # Inverse transform: Y = AT @ M @ AT^T, shape (M, tiles_h, tiles_w, m, m).
-        half = np.einsum("pi,mxyil->mxypl", at, prod)
+        # Inverse transform Y = AT M AT^T, indexed (p, q, M, tiles_h, tiles_w).
+        half = np.tensordot(at, prod, axes=1).reshape(m_tile, n, -1)
         del prod
-        y = np.einsum("mxypl,ql->mxypq", half, at)
+        y = np.matmul(at, half).reshape(m_tile, m_tile, scenario.m, tiles_h, tiles_w)
         del half
 
-        # Scatter tiles back into the output plane and crop.
-        out_full = np.zeros((scenario.m, tiles_h * m_tile, tiles_w * m_tile), dtype=np.float64)
-        for th in range(tiles_h):
-            for tw in range(tiles_w):
-                out_full[
-                    :, th * m_tile : (th + 1) * m_tile, tw * m_tile : (tw + 1) * m_tile
-                ] = y[:, th, tw]
-        return out_full[:, :out_h, :out_w]
+        # Interleave the tiles into the output plane and crop.
+        out_full = y.transpose(2, 3, 0, 4, 1).reshape(
+            scenario.m, tiles_h * m_tile, tiles_w * m_tile
+        )
+        return out_full[:, : scenario.out_h, : scenario.out_w]
 
 
 class Winograd1DPrimitive(_WinogradBase):
@@ -400,10 +394,8 @@ class Winograd1DPrimitive(_WinogradBase):
         for kh in range(r):
             # Rows of the input that align with output rows for this kernel row.
             slab = x64[:, kh : kh + out_h, :]  # (C, out_h, padded_w)
-            # Gather width tiles: (C, out_h, tiles_w, n).
-            tiles = np.empty((scenario.c, out_h, tiles_w, n), dtype=np.float64)
-            for tw in range(tiles_w):
-                tiles[:, :, tw, :] = slab[:, :, tw * m_tile : tw * m_tile + n]
+            # Width tiles as a strided view: (C, out_h, tiles_w, n).
+            tiles = sliding_window_view(slab, n, axis=2)[:, :, : tiles_w * m_tile : m_tile]
             v = np.einsum("ij,chtj->chti", bt, tiles, optimize=True)
             prod = np.einsum("mci,chti->mhti", u_rows[kh], v, optimize=True)
             y = np.einsum("pi,mhti->mhtp", at, prod, optimize=True)
@@ -436,14 +428,12 @@ class Winograd1DPrimitive(_WinogradBase):
         u_rows = np.einsum("ij,mckj->kmci", g, kernel64, optimize=True)
 
         out = np.empty((scenario.m, out_h, out_w), dtype=np.float64)
-        gathered = np.empty((scenario.c, tiles_w, n), dtype=np.float64)
         for h in range(out_h):
             acc = np.zeros((scenario.m, tiles_w, m_tile), dtype=np.float64)
             for kh in range(r):
-                row = x64[:, h + kh, :]
-                for tw in range(tiles_w):
-                    gathered[:, tw, :] = row[:, tw * m_tile : tw * m_tile + n]
-                v = np.einsum("ij,ctj->cti", bt, gathered, optimize=True)
+                # One row of width tiles as a strided view: (C, tiles_w, n).
+                row = sliding_window_view(x64[:, h + kh, :], n, axis=1)
+                v = np.einsum("ij,ctj->cti", bt, row[:, : tiles_w * m_tile : m_tile], optimize=True)
                 prod = np.einsum("mci,cti->mti", u_rows[kh], v, optimize=True)
                 acc += np.einsum("pi,mti->mtp", at, prod, optimize=True)
             out[:, h, :] = acc.reshape(scenario.m, tiles_w * m_tile)[:, :out_w]

@@ -9,7 +9,7 @@ them to run whole networks end to end.  All operators work on canonical
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -24,29 +24,37 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _pool_windows(
-    x: np.ndarray, kernel: int, stride: int, padding: int, out_h: int, out_w: int, pad_value: float
+def _pool(
+    x: np.ndarray, kernel: int, stride: int, padding: int,
+    output_shape: Tuple[int, int, int], pad_value: float, combine: Callable[..., np.ndarray],
 ) -> np.ndarray:
-    """Gather pooling windows into a (..., C, out_h, out_w, kernel*kernel) array."""
-    lead = x.shape[:-3]
-    c, h, w = x.shape[-3:]
-    padded = np.full(
-        lead + (c, h + 2 * padding + kernel, w + 2 * padding + kernel),
-        pad_value,
-        dtype=x.dtype,
+    """Fold ``combine`` in place over the ``kernel**2`` strided window views of ``x``."""
+    _, out_h, out_w = output_shape
+    h, w = x.shape[-2:]
+    span_h = (out_h - 1) * stride + kernel
+    span_w = (out_w - 1) * stride + kernel
+    padded = x
+    if padding or span_h > h or span_w > w:
+        # Caffe's ceil geometry lets the last windows overhang the padding.
+        padded = np.full(
+            x.shape[:-2] + (max(h + 2 * padding, span_h), max(w + 2 * padding, span_w)),
+            pad_value,
+            dtype=x.dtype,
+        )
+        padded[..., padding : padding + h, padding : padding + w] = x
+    windows = (
+        padded[
+            ...,
+            kh : kh + (out_h - 1) * stride + 1 : stride,
+            kw : kw + (out_w - 1) * stride + 1 : stride,
+        ]
+        for kh in range(kernel)
+        for kw in range(kernel)
     )
-    padded[..., padding : padding + h, padding : padding + w] = x
-    windows = np.empty(lead + (c, out_h, out_w, kernel * kernel), dtype=x.dtype)
-    index = 0
-    for kh in range(kernel):
-        for kw in range(kernel):
-            windows[..., index] = padded[
-                ...,
-                kh : kh + (out_h - 1) * stride + 1 : stride,
-                kw : kw + (out_w - 1) * stride + 1 : stride,
-            ]
-            index += 1
-    return windows
+    out = next(windows).copy()
+    for window in windows:
+        combine(out, window, out=out)
+    return out
 
 
 def max_pool(
@@ -57,9 +65,7 @@ def max_pool(
     output_shape: Tuple[int, int, int],
 ) -> np.ndarray:
     """Max pooling with Caffe-compatible output geometry supplied by the caller."""
-    _, out_h, out_w = output_shape
-    windows = _pool_windows(x, kernel, stride, padding, out_h, out_w, pad_value=-np.inf)
-    return windows.max(axis=-1)
+    return _pool(x, kernel, stride, padding, output_shape, -np.inf, np.maximum)
 
 
 def average_pool(
@@ -70,9 +76,8 @@ def average_pool(
     output_shape: Tuple[int, int, int],
 ) -> np.ndarray:
     """Average pooling (zero padded, dividing by the full window size)."""
-    _, out_h, out_w = output_shape
-    windows = _pool_windows(x, kernel, stride, padding, out_h, out_w, pad_value=0.0)
-    return windows.sum(axis=-1) / float(kernel * kernel)
+    total = _pool(x, kernel, stride, padding, output_shape, 0.0, np.add)
+    return total / float(kernel * kernel)
 
 
 def local_response_norm(

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import local_optimal_plan, sum2d_plan
 from repro.core.selector import PBQPSelector, SelectionContext
+from repro.graph.layer import PoolLayer
 from repro.runtime import NetworkExecutor, WeightStore
 from repro.runtime import reference_ops as ops
 from repro.runtime.codegen import generate_schedule, render_schedule
@@ -86,6 +89,92 @@ class TestReferenceOps:
         merged = ops.concat_channels([a, b])
         assert merged.shape == (6, 3, 3)
         assert ops.flatten(merged).shape == (54, 1, 1)
+
+
+def _window_gather_pool(x, kernel, stride, padding, out_h, out_w, pad_value):
+    """Oracle: gather every pooling window into a (..., C, out_h, out_w, k*k) array."""
+    lead = x.shape[:-3]
+    c, h, w = x.shape[-3:]
+    padded = np.full(
+        lead + (c, h + 2 * padding + kernel, w + 2 * padding + kernel), pad_value, dtype=x.dtype
+    )
+    padded[..., padding : padding + h, padding : padding + w] = x
+    windows = np.empty(lead + (c, out_h, out_w, kernel * kernel), dtype=x.dtype)
+    for index, (kh, kw) in enumerate((kh, kw) for kh in range(kernel) for kw in range(kernel)):
+        windows[..., index] = padded[
+            ...,
+            kh : kh + (out_h - 1) * stride + 1 : stride,
+            kw : kw + (out_w - 1) * stride + 1 : stride,
+        ]
+    return windows
+
+
+class TestPoolingMatchesWindowGather:
+    """Strided-view pooling equals pooling over a materialized window array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 4),
+        h=st.integers(1, 14),
+        w=st.integers(1, 14),
+        kernel=st.integers(1, 7),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        ceil_mode=st.booleans(),
+        batch=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_max_and_average(self, c, h, w, kernel, stride, padding, ceil_mode, batch, seed):
+        # Caffe requires the padding to be smaller than the window and the
+        # window to fit the padded input.
+        assume(padding < kernel <= min(h, w) + 2 * padding)
+        layer = PoolLayer(
+            "pool", kernel=kernel, stride=stride, padding=padding, ceil_mode=ceil_mode
+        )
+        output_shape = layer.output_shape([(c, h, w)])
+        _, out_h, out_w = output_shape
+        # The gather oracle needs every window to start inside its padded
+        # array; the overhanging geometry is pinned separately below.
+        assume((out_h - 1) * stride <= h + 2 * padding and (out_w - 1) * stride <= w + 2 * padding)
+        lead = () if batch is None else (batch,)
+        rng = np.random.default_rng(seed)
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal(lead + (c, h, w)).astype(dtype)
+            pooled = ops.max_pool(x, kernel, stride, padding, output_shape)
+            expected = _window_gather_pool(
+                x, kernel, stride, padding, out_h, out_w, -np.inf
+            ).max(axis=-1)
+            assert pooled.shape == lead + output_shape
+            assert pooled.dtype == x.dtype
+            assert np.array_equal(pooled, expected)
+        # Averages are compared on the float64 draw: the running sum adds the
+        # k*k windows in a different order than a reduction over the last axis.
+        averaged = ops.average_pool(x, kernel, stride, padding, output_shape)
+        expected = _window_gather_pool(x, kernel, stride, padding, out_h, out_w, 0.0).sum(
+            axis=-1
+        ) / float(kernel * kernel)
+        assert averaged.shape == lead + output_shape
+        np.testing.assert_allclose(averaged, expected, rtol=1e-6)
+
+    def test_windows_past_the_input_keep_the_output_shape(self):
+        """Ceil geometry without padding can start a window past the input."""
+        layer = PoolLayer("pool", kernel=1, stride=3, padding=0)
+        output_shape = layer.output_shape([(1, 2, 2)])
+        assert output_shape == (1, 2, 2)
+        x = np.array([[[5.0, 6.0], [7.0, 8.0]]])
+        pooled = ops.max_pool(x, 1, 3, 0, output_shape)
+        assert pooled.shape == output_shape
+        assert pooled[0, 0, 0] == 5.0
+        assert np.all(pooled.reshape(-1)[1:] == -np.inf)
+        averaged = ops.average_pool(x, 1, 3, 0, output_shape)
+        assert np.array_equal(averaged, [[[5.0, 0.0], [0.0, 0.0]]])
+
+    def test_pooling_leaves_input_untouched(self):
+        x = np.arange(2 * 5 * 5, dtype=np.float32).reshape(2, 5, 5)
+        before = x.copy()
+        ops.max_pool(x, 2, 1, 0, (2, 4, 4))
+        ops.average_pool(x, 2, 1, 0, (2, 4, 4))
+        assert np.array_equal(x, before)
 
 
 class TestWeightStore:
